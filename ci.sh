@@ -64,15 +64,16 @@ build_test() {
 }
 
 conformance() {
-    # Format-conformance gate, *serialized*: golden vectors and parallel
-    # determinism with RUST_TEST_THREADS=1. The build-test stage already
-    # runs these suites at default parallelism; this run only adds the
-    # single-threaded schedule, pinning that thread scheduling never changes
-    # container bytes. (Earlier revisions also re-ran them at default
-    # parallelism and re-ran adversarial_decode by name — both were exact
-    # duplicates of workspace-test coverage and are deliberately gone.)
+    # Format-conformance gate, *serialized*: golden vectors, parallel
+    # determinism and the overlapped writer's byte identity with
+    # RUST_TEST_THREADS=1. The build-test stage already runs these suites at
+    # default parallelism; this run only adds the single-threaded schedule,
+    # pinning that thread scheduling never changes container bytes. (Earlier
+    # revisions also re-ran them at default parallelism and re-ran
+    # adversarial_decode by name — both were exact duplicates of
+    # workspace-test coverage and are deliberately gone.)
     run env RUST_TEST_THREADS=1 cargo test -q --offline \
-        --test golden_format --test parallel_determinism
+        --test golden_format --test parallel_determinism --test archive_overlap
 }
 
 bench() {
@@ -90,10 +91,11 @@ archive_io() {
     # Overlapped-archive smoke gate: writes the two acceptance corpora
     # through both writers and asserts (a) overlapped archives are
     # byte-identical to bulk-synchronous ones at every thread count, (b) the
-    # overlap counters are live, and (c) behind the modeled staging link the
-    # overlapped writer beats bulk by ≥ 1.05× (the full-size ≥ 1.3× claim
-    # lives in EXPERIMENTS.md / results/BENCH_archive_io.json, regenerated
-    # with a plain `archive_io` run). Absolute MB/s stays report-only here.
+    # hidden share `archive.hidden_pct` lies in 0–100 on every row and is
+    # nonzero behind the staging link, and (c) behind the modeled staging
+    # link the overlapped writer beats bulk by ≥ 1.05× (the full-size ≥ 1.3×
+    # claim lives in EXPERIMENTS.md / results/BENCH_archive_io.json,
+    # regenerated with a plain `archive_io` run). Absolute MB/s stays report-only here.
     # Budget: must finish inside 60s even on a 1-core runner (measured ~3s
     # plus compile).
     run cargo build --release --offline -p primacy-bench

@@ -32,7 +32,8 @@ fn usage() -> ExitCode {
          primacy stats <input>\n  \
          primacy gen <dataset> <output> [--elems N]\n  \
          primacy bench <input>\n  \
-         primacy archive <input> <output.prma> [compress flags] [--overlap] [--trace]\n  \
+         primacy archive <input> <output.prma> [compress flags] [--trace]\n    \
+             (--threads N selects the overlapped writer; without it the bulk writer runs)\n  \
          primacy extract <input.prma> <output> [--start N --count N]\n  \
          primacy info <input.prma>\n  \
          primacy verify <input.prim|input.prma> [--trace]\n  \
@@ -295,14 +296,14 @@ fn run() -> Result<(), String> {
                     cfg.element_size
                 ));
             }
-            let overlap = args.iter().any(|a| a == "--overlap");
-            let threads = resolve_threads(parse_flag::<usize>(&args, "--threads").unwrap_or(0));
+            // `--threads N` (0 = auto) selects the overlapped writer, the way
+            // `compress --threads` selects the parallel compressor.
+            let threads = parse_flag::<usize>(&args, "--threads").map(resolve_threads);
             let tracing = setup_trace(&args)?;
             let t0 = Instant::now();
-            let mut w = if overlap {
-                ArchiveWriter::with_overlap(Vec::new(), cfg, threads)
-            } else {
-                ArchiveWriter::new(Vec::new(), cfg)
+            let mut w = match threads {
+                Some(t) => ArchiveWriter::with_overlap(Vec::new(), cfg, t),
+                None => ArchiveWriter::new(Vec::new(), cfg),
             }
             .map_err(|e| e.to_string())?;
             w.append(&data).map_err(|e| e.to_string())?;
@@ -320,10 +321,9 @@ fn run() -> Result<(), String> {
                 data.len() as f64 / archive.len() as f64,
                 secs,
                 data.len() as f64 / 1e6 / secs.max(1e-9),
-                if overlap {
-                    format!("overlapped, {threads} compress threads")
-                } else {
-                    "bulk-synchronous".to_string()
+                match threads {
+                    Some(t) => format!("overlapped, {t} compress threads"),
+                    None => "bulk-synchronous".to_string(),
                 }
             );
             Ok(())
@@ -390,7 +390,9 @@ fn run() -> Result<(), String> {
             let (bytes, kind) = if data.len() >= 4 && &data[..4] == b"PRMA" {
                 let r = ArchiveReader::open(&data).map_err(|e| e.to_string())?;
                 (
-                    r.read_all_pipelined(4).map_err(|e| e.to_string())?.len(),
+                    r.read_all_parallel(resolve_threads(0))
+                        .map_err(|e| e.to_string())?
+                        .len(),
                     "archive",
                 )
             } else {

@@ -22,15 +22,14 @@
 use crate::config::PrimacyConfig;
 use crate::error::{PrimacyError, Result};
 use crate::format::{self, Header, Reader};
+use crate::par;
 use crate::pipeline::{self, DecodeScratch, PrimacyCompressor};
 use crate::stats::StageTimings;
 use primacy_codecs::checksum::crc32;
 use primacy_codecs::{Codec, CodecScratch};
 use primacy_trace as trace;
-use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"PRMA";
 const VERSION: u8 = 1;
@@ -54,223 +53,98 @@ pub struct ChunkEntry {
     pub crc: u32,
 }
 
-/// One compressed chunk section in flight between a compress worker and the
-/// writer thread.
+/// One compressed, self-contained chunk section on its way to the sink.
 struct Section {
     bytes: Vec<u8>,
     elements: u64,
     crc: u32,
 }
 
-/// Everything the writer thread hands back when its input channel closes.
-/// `sink`, `directory` and `offset` are valid up to the first error; `result`
-/// carries that first error, if any.
-struct WriterExit<W> {
-    sink: W,
-    directory: Vec<ChunkEntry>,
-    offset: u64,
-    write_busy_ns: u64,
-    result: Result<()>,
+/// Compress one chunk into its section. Random access requires a
+/// self-contained index per chunk; that is also what makes the overlapped
+/// writer byte-identical to the sequential one — no state crosses chunk
+/// boundaries in either mode.
+fn compress_section(
+    compressor: &PrimacyCompressor,
+    scratch: &mut CodecScratch,
+    chunk: &[u8],
+) -> Result<Section> {
+    let _span = trace::span("archive.write_chunk");
+    let mut bytes = Vec::with_capacity(chunk.len() / 2 + 64);
+    compressor.compress_chunk(chunk, &mut None, scratch, &mut bytes)?;
+    Ok(Section {
+        bytes,
+        elements: (chunk.len() / compressor.config().element_size) as u64,
+        crc: crc32(chunk),
+    })
 }
 
-/// Sequential (bulk-synchronous) writer state: compress and flush on the
-/// caller's thread, one chunk at a time.
-struct SeqState<W> {
+/// The sink side of a writer: the sink, the serialized directory of the
+/// sections it has taken so far, and the write cursor.
+struct SinkState<W> {
     sink: W,
-    directory: Vec<ChunkEntry>,
+    directory: Vec<u8>,
     offset: u64,
-    /// Backend codec working memory, reused across every chunk this writer
-    /// flushes so steady-state appends allocate nothing in the encoder.
-    scratch: CodecScratch,
 }
 
-impl<W: Write> SeqState<W> {
-    fn flush_chunk(&mut self, compressor: &PrimacyCompressor, chunk: &[u8]) -> Result<()> {
-        let _span = trace::span("archive.write_chunk");
-        let mut section = Vec::with_capacity(chunk.len() / 2 + 64);
-        // Random access requires a self-contained index per chunk.
-        let mut no_prev = None;
-        compressor.compress_chunk(chunk, &mut no_prev, &mut self.scratch, &mut section)?;
-        self.directory.push(ChunkEntry {
-            offset: self.offset,
-            elements: (chunk.len() / compressor.config().element_size) as u64,
-            crc: crc32(chunk),
-        });
-        self.sink
-            .write_all(&section)
-            .map_err(|_| PrimacyError::Format("archive sink write failed"))?;
-        self.offset = self.offset.saturating_add(section.len() as u64);
+impl<W: Write> SinkState<W> {
+    /// Write the fixed 9-byte archive header; the first section follows it.
+    fn start(mut sink: W, cfg: &PrimacyConfig) -> Result<Self> {
+        let mut header = MAGIC.to_vec();
+        header.extend([VERSION, cfg.element_size as u8, cfg.hi_bytes as u8]);
+        header.push(format::linearization_to_byte(cfg.linearization));
+        header.push(format::codec_to_byte(cfg.codec));
+        write_all(&mut sink, &header)?;
+        Ok(Self {
+            sink,
+            directory: Vec::new(),
+            offset: header.len() as u64,
+        })
+    }
+
+    /// Append the next section in chunk order and add its directory entry.
+    fn write_section(&mut self, section: Section) -> Result<()> {
+        {
+            let _span = trace::span("archive.sink_write");
+            write_all(&mut self.sink, &section.bytes)?;
+        }
+        self.directory.extend(self.offset.to_le_bytes());
+        self.directory.extend(section.elements.to_le_bytes());
+        self.directory.extend(section.crc.to_le_bytes());
+        self.offset = self.offset.saturating_add(section.bytes.len() as u64);
         trace::counter("archive.chunks_written", 1);
-        trace::observe("archive.section_bytes", section.len() as u64);
+        trace::observe("archive.section_bytes", section.bytes.len() as u64);
         Ok(())
     }
+
+    /// Write the directory and footer after the last section and hand the
+    /// sink back.
+    fn finish(mut self) -> Result<W> {
+        let mut footer = Vec::with_capacity(FOOTER_LEN);
+        footer.extend_from_slice(&self.offset.to_le_bytes());
+        footer.extend_from_slice(&((self.directory.len() / 20) as u32).to_le_bytes());
+        footer.extend_from_slice(&crc32(&self.directory).to_le_bytes());
+        footer.extend_from_slice(MAGIC);
+        write_all(&mut self.sink, &self.directory)?;
+        write_all(&mut self.sink, &footer)?;
+        Ok(self.sink)
+    }
 }
 
-/// Overlapped writer state: chunks flow through a bounded channel to a
-/// compress-worker pool, compressed sections flow through a second bounded
-/// channel to a dedicated writer thread that flushes them in sequence order.
-struct OverlapState<W> {
-    /// `None` once `finish` has closed the hand-off.
-    chunk_tx: Option<mpsc::SyncSender<(u64, Vec<u8>)>>,
-    next_seq: u64,
-    /// Compress workers; each returns its total compress-busy nanoseconds.
-    workers: Vec<std::thread::JoinHandle<u64>>,
-    writer: Option<std::thread::JoinHandle<WriterExit<W>>>,
-    started: Instant,
-}
-
-/// Compress-worker loop: pull `(seq, chunk)` messages, compress each into a
-/// self-contained section, push `(seq, section)` onward. Exits when the chunk
-/// channel closes (normal) or the writer disappears (failure elsewhere).
-/// Returns the thread's total compress-busy nanoseconds for the overlap
-/// accounting in `finish`.
-fn compress_worker(
-    compressor: &PrimacyCompressor,
-    chunk_rx: &Mutex<mpsc::Receiver<(u64, Vec<u8>)>>,
-    section_tx: &mpsc::SyncSender<(u64, Result<Section>)>,
-) -> u64 {
-    let _trace_scope = trace::thread_scope();
-    let mut scratch = CodecScratch::new();
-    let es = compressor.config().element_size;
-    let mut busy_ns = 0u64;
-    loop {
-        // Hold the lock only for the recv: the next idle worker takes the
-        // next chunk, and compression itself runs outside the lock.
-        let msg = { chunk_rx.lock().unwrap_or_else(|e| e.into_inner()).recv() };
-        let Ok((seq, chunk)) = msg else { break };
-        let t = Instant::now();
-        let span = trace::span("archive.write_chunk");
-        let mut bytes = Vec::with_capacity(chunk.len() / 2 + 64);
-        // Random access requires a self-contained index per chunk; this is
-        // also what makes the overlapped output byte-identical to the
-        // sequential path — no cross-chunk state exists in either mode.
-        let mut no_prev = None;
-        let result = compressor
-            .compress_chunk(&chunk, &mut no_prev, &mut scratch, &mut bytes)
-            .map(|_| Section {
-                bytes,
-                elements: (chunk.len() / es) as u64,
-                crc: crc32(&chunk),
-            });
-        drop(span);
-        busy_ns = busy_ns.saturating_add(t.elapsed().as_nanos() as u64);
-        if section_tx.send((seq, result)).is_err() {
-            // Writer gone (panic or teardown): results have nowhere to go.
-            break;
-        }
-    }
-    busy_ns
-}
-
-/// Writer-thread loop: reorder sections by sequence number and flush them in
-/// order. Runs until every worker has dropped its sender — even after an
-/// error it keeps draining (and discarding) so no worker ever blocks on a
-/// full channel; that is the no-deadlock guarantee `finish` relies on.
-fn write_in_order<W: Write>(
-    mut sink: W,
-    mut offset: u64,
-    section_rx: mpsc::Receiver<(u64, Result<Section>)>,
-) -> WriterExit<W> {
-    let _trace_scope = trace::thread_scope();
-    let mut directory = Vec::new();
-    let mut stash: BTreeMap<u64, Result<Section>> = BTreeMap::new();
-    let mut next = 0u64;
-    let mut write_busy_ns = 0u64;
-    let mut first_err: Option<PrimacyError> = None;
-    for (seq, result) in section_rx.iter() {
-        stash.insert(seq, result);
-        while let Some(result) = stash.remove(&next) {
-            next += 1;
-            match result {
-                Ok(section) if first_err.is_none() => {
-                    let t = Instant::now();
-                    let wrote = sink.write_all(&section.bytes);
-                    let dt = t.elapsed();
-                    trace::span_duration("archive.write_overlap", dt);
-                    write_busy_ns = write_busy_ns.saturating_add(dt.as_nanos() as u64);
-                    match wrote {
-                        Ok(()) => {
-                            directory.push(ChunkEntry {
-                                offset,
-                                elements: section.elements,
-                                crc: section.crc,
-                            });
-                            offset = offset.saturating_add(section.bytes.len() as u64);
-                            trace::counter("archive.chunks_written", 1);
-                            trace::observe("archive.section_bytes", section.bytes.len() as u64);
-                        }
-                        Err(_) => {
-                            first_err = Some(PrimacyError::Format("archive sink write failed"));
-                        }
-                    }
-                }
-                Ok(_) => {} // an earlier chunk already failed; discard
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-    }
-    if first_err.is_none() && !stash.is_empty() {
-        // A worker died between receiving a chunk and sending its section:
-        // the sequence has a hole and the archive cannot be completed.
-        first_err = Some(PrimacyError::Format("archive compress worker lost a chunk"));
-    }
-    WriterExit {
-        sink,
-        directory,
-        offset,
-        write_busy_ns,
-        result: match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        },
-    }
+/// `Write::write_all`, with a failure reported as the archive's typed error.
+fn write_all<W: Write>(sink: &mut W, bytes: &[u8]) -> Result<()> {
+    sink.write_all(bytes)
+        .map_err(|_| PrimacyError::Format("archive sink write failed"))
 }
 
 /// Which pipeline an [`ArchiveWriter`] runs its chunks through.
-enum Mode<W: Write> {
-    Sequential(Box<SeqState<W>>),
-    Overlapped(OverlapState<W>),
-}
-
-/// Write the fixed 9-byte archive header; returns the write cursor (the
-/// offset of the first chunk section).
-fn write_archive_header<W: Write>(sink: &mut W, cfg: &PrimacyConfig) -> Result<u64> {
-    let mut header = Vec::with_capacity(9);
-    header.extend_from_slice(MAGIC);
-    header.push(VERSION);
-    header.push(cfg.element_size as u8);
-    header.push(cfg.hi_bytes as u8);
-    header.push(format::linearization_to_byte(cfg.linearization));
-    header.push(format::codec_to_byte(cfg.codec));
-    sink.write_all(&header)
-        .map_err(|_| PrimacyError::Format("archive sink write failed"))?;
-    Ok(header.len() as u64)
-}
-
-/// Serialize the directory and footer onto a finished archive body.
-fn write_directory<W: Write>(
-    sink: &mut W,
-    directory: &[ChunkEntry],
-    directory_offset: u64,
-) -> Result<()> {
-    let mut dir = Vec::with_capacity(directory.len() * 20);
-    for e in directory {
-        dir.extend_from_slice(&e.offset.to_le_bytes());
-        dir.extend_from_slice(&e.elements.to_le_bytes());
-        dir.extend_from_slice(&e.crc.to_le_bytes());
-    }
-    let mut footer = Vec::with_capacity(FOOTER_LEN);
-    footer.extend_from_slice(&directory_offset.to_le_bytes());
-    footer.extend_from_slice(&(directory.len() as u32).to_le_bytes());
-    footer.extend_from_slice(&crc32(&dir).to_le_bytes());
-    footer.extend_from_slice(MAGIC);
-    sink.write_all(&dir)
-        .and_then(|()| sink.write_all(&footer))
-        .map_err(|_| PrimacyError::Format("archive sink write failed"))
+enum Mode<W> {
+    /// Compress and write each chunk on the caller's thread. The scratch is
+    /// reused across every chunk, so steady-state appends allocate nothing
+    /// in the encoder.
+    Sequential(SinkState<W>, Box<CodecScratch>),
+    /// Compress workers feed the sink through the chunk-parallel engine.
+    Overlapped(par::Streaming<Vec<u8>, SinkState<W>>),
 }
 
 /// Incremental archive writer over any [`Write`] sink.
@@ -282,10 +156,10 @@ fn write_directory<W: Write>(
 /// [`ArchiveWriter::new`] runs bulk-synchronous: each chunk is compressed and
 /// flushed on the calling thread before the next begins.
 /// [`ArchiveWriter::with_overlap`] instead pipelines the archive: a pool of
-/// compress workers runs chunk *n+1* while a dedicated writer thread flushes
-/// chunk *n*. Both modes produce byte-identical archives — every chunk
-/// carries its own index, so no state crosses chunk boundaries in either
-/// mode, and the writer thread flushes strictly in sequence order.
+/// compress workers runs chunk *n+1* while chunk *n* is still being written.
+/// Both modes compress and write through the same two functions, and the
+/// overlapped writer takes sections strictly in chunk order, so the two
+/// produce byte-identical archives.
 ///
 /// ```
 /// use primacy_core::{ArchiveReader, ArchiveWriter, PrimacyConfig};
@@ -302,92 +176,67 @@ fn write_directory<W: Write>(
 pub struct ArchiveWriter<W: Write> {
     compressor: Arc<PrimacyCompressor>,
     pending: Vec<u8>,
-    finished: bool,
     flushed_elements: u64,
     mode: Mode<W>,
 }
 
 impl<W: Write> ArchiveWriter<W> {
     /// Start a bulk-synchronous archive, writing the header immediately.
-    pub fn new(mut sink: W, config: PrimacyConfig) -> Result<Self> {
-        let compressor = Arc::new(PrimacyCompressor::try_new(config)?);
-        let offset = write_archive_header(&mut sink, compressor.config())?;
-        Ok(Self {
-            compressor,
-            pending: Vec::new(),
-            finished: false,
-            flushed_elements: 0,
-            mode: Mode::Sequential(Box::new(SeqState {
-                sink,
-                directory: Vec::new(),
-                offset,
-                scratch: CodecScratch::new(),
-            })),
+    pub fn new(sink: W, config: PrimacyConfig) -> Result<Self> {
+        Self::start(sink, config, |_, sink| {
+            Mode::Sequential(sink, Box::new(CodecScratch::new()))
         })
     }
 
-    /// Start an overlapped archive: `threads` compress workers feed a
-    /// dedicated writer thread through bounded channels, so compression of
-    /// chunk *n+1* proceeds while chunk *n* is still being flushed. Output is
+    /// Start an overlapped archive: `threads` compress workers feed the sink
+    /// through the crate's chunk-parallel engine, so compression of chunk
+    /// *n+1* proceeds while chunk *n* is still being written. Output is
     /// byte-identical to [`ArchiveWriter::new`].
     ///
-    /// Backpressure: at most `2 × threads` raw chunks and `2 × threads`
-    /// compressed sections are in flight; a slow sink stalls [`Self::append`]
-    /// instead of buffering the whole archive in memory.
+    /// Backpressure: at most `2 × threads` raw chunks wait for a worker and
+    /// `2 × threads` compressed sections wait for the sink; a slow sink
+    /// stalls [`Self::append`] instead of buffering the archive in memory.
     ///
-    /// If a worker or the writer thread panics or fails, the failure
-    /// surfaces as a typed error from [`Self::append`] or [`Self::finish`] —
-    /// never a deadlock: every thread exits on channel disconnection, and
-    /// the writer drains its input even after an error.
-    pub fn with_overlap(mut sink: W, config: PrimacyConfig, threads: usize) -> Result<Self>
+    /// If a worker or the sink panics or fails, the failure surfaces as a
+    /// typed error from [`Self::append`] or [`Self::finish`], never a
+    /// deadlock.
+    pub fn with_overlap(sink: W, config: PrimacyConfig, threads: usize) -> Result<Self>
     where
         W: Send + 'static,
     {
+        Self::start(sink, config, |comp, sink| {
+            Mode::Overlapped(par::Streaming::spawn(
+                threads,
+                sink,
+                CodecScratch::new,
+                move |scratch, _, chunk: Vec<u8>| compress_section(&comp, scratch, &chunk),
+                SinkState::write_section,
+            ))
+        })
+    }
+
+    /// Validate `config`, write the header and set up the pipeline `mode`
+    /// builds.
+    fn start(
+        sink: W,
+        config: PrimacyConfig,
+        mode: impl FnOnce(Arc<PrimacyCompressor>, SinkState<W>) -> Mode<W>,
+    ) -> Result<Self> {
         let compressor = Arc::new(PrimacyCompressor::try_new(config)?);
-        let offset = write_archive_header(&mut sink, compressor.config())?;
-        let threads = threads.max(1);
-        let depth = threads * 2;
-        let (chunk_tx, chunk_rx) = mpsc::sync_channel::<(u64, Vec<u8>)>(depth);
-        let (section_tx, section_rx) = mpsc::sync_channel::<(u64, Result<Section>)>(depth);
-        let chunk_rx = Arc::new(Mutex::new(chunk_rx));
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let rx = Arc::clone(&chunk_rx);
-            let tx = section_tx.clone();
-            let comp = Arc::clone(&compressor);
-            workers.push(std::thread::spawn(move || compress_worker(&comp, &rx, &tx)));
-        }
-        // The writer's loop ends when every worker has dropped its sender;
-        // the prototype sender must not outlive the workers.
-        drop(section_tx);
-        let writer = std::thread::spawn(move || write_in_order(sink, offset, section_rx));
+        let sink = SinkState::start(sink, compressor.config())?;
         Ok(Self {
+            mode: mode(Arc::clone(&compressor), sink),
             compressor,
             pending: Vec::new(),
-            finished: false,
             flushed_elements: 0,
-            mode: Mode::Overlapped(OverlapState {
-                chunk_tx: Some(chunk_tx),
-                next_seq: 0,
-                workers,
-                writer: Some(writer),
-                started: Instant::now(),
-            }),
         })
     }
 
     /// Append raw element bytes (any length; chunk alignment is handled
     /// internally, but the total at `finish` must be element-aligned).
     pub fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        assert!(!self.finished, "append after finish");
         self.pending.extend_from_slice(bytes);
-        let cfg = self.compressor.config();
-        // Validated configs keep this product far below usize::MAX; saturate
-        // so even a pathological config degrades to one huge chunk.
-        let chunk_bytes = cfg
-            .chunk_elements()
-            .saturating_mul(cfg.element_size)
-            .max(cfg.element_size);
+        let chunk_bytes = self.compressor.chunk_bytes();
         while self.pending.len() >= chunk_bytes {
             let rest = self.pending.split_off(chunk_bytes);
             let chunk = std::mem::replace(&mut self.pending, rest);
@@ -418,20 +267,12 @@ impl<W: Write> ArchiveWriter<W> {
         }
         let elements = (chunk.len() / es) as u64;
         match &mut self.mode {
-            Mode::Sequential(s) => s.flush_chunk(&self.compressor, &chunk)?,
-            Mode::Overlapped(o) => {
-                let tx = o
-                    .chunk_tx
-                    .as_ref()
-                    .ok_or(PrimacyError::Format("append after finish"))?;
-                let seq = o.next_seq;
-                // A send error means every worker exited, which only happens
-                // after a writer-side failure; finish() reports the root
-                // cause, this append reports the broken pipeline.
-                tx.send((seq, chunk))
-                    .map_err(|_| PrimacyError::Format("archive compress workers exited early"))?;
-                o.next_seq += 1;
+            Mode::Sequential(sink, scratch) => {
+                sink.write_section(compress_section(&self.compressor, scratch, &chunk)?)?;
             }
+            // A refused push means the workers stopped after a failure;
+            // `finish` reports the root cause.
+            Mode::Overlapped(stream) => stream.push(chunk)?,
         }
         self.flushed_elements = self.flushed_elements.saturating_add(elements);
         Ok(())
@@ -447,13 +288,12 @@ impl<W: Write> ArchiveWriter<W> {
     /// Flush the tail chunk, write the directory and footer, and return the
     /// sink.
     ///
-    /// In overlapped mode this joins the worker pool and the writer thread
-    /// (panic-safe: a panicked thread becomes a typed error, and channel
-    /// disconnection guarantees every other thread unblocks) and records the
-    /// measured compute/IO overlap as `archive.overlap_ns` /
-    /// `archive.overlap_fraction_pct` trace counters.
+    /// In overlapped mode this waits for every worker and the sink (a
+    /// panicked one becomes a typed error) and records the
+    /// `archive.hidden_pct` trace counter: the share (0–100) of the shorter
+    /// of per-worker compress time and sink-write time that ran hidden
+    /// behind the other.
     pub fn finish(mut self) -> Result<W> {
-        self.finished = true;
         let tail = std::mem::take(&mut self.pending);
         let tail_result = if tail.is_empty() {
             Ok(())
@@ -461,59 +301,15 @@ impl<W: Write> ArchiveWriter<W> {
             self.dispatch_chunk(tail)
         };
         match self.mode {
-            Mode::Sequential(s) => {
+            Mode::Sequential(sink, _) => {
                 tail_result?;
-                let SeqState {
-                    mut sink,
-                    directory,
-                    offset,
-                    ..
-                } = *s;
-                write_directory(&mut sink, &directory, offset)?;
-                Ok(sink)
+                sink.finish()
             }
-            Mode::Overlapped(mut o) => {
-                // Close the hand-off: workers drain the queue and exit; the
-                // writer sees its channel disconnect after the last section.
-                drop(o.chunk_tx.take());
-                let mut compress_busy_ns = 0u64;
-                let mut worker_panicked = false;
-                for handle in o.workers.drain(..) {
-                    match handle.join() {
-                        Ok(ns) => compress_busy_ns = compress_busy_ns.saturating_add(ns),
-                        Err(_) => worker_panicked = true,
-                    }
-                }
-                let writer = o
-                    .writer
-                    .take()
-                    .ok_or(PrimacyError::Format("archive writer thread missing"))?;
-                let exit = writer
-                    .join()
-                    .map_err(|_| PrimacyError::Format("archive writer thread panicked"))?;
-                exit.result?;
-                if worker_panicked {
-                    return Err(PrimacyError::Format("archive compress worker panicked"));
-                }
+            Mode::Overlapped(stream) => {
+                let (sink, busy) = stream.finish()?;
                 tail_result?;
-                // Overlap accounting: busy time beyond the wall clock is time
-                // two pipeline stages provably ran concurrently.
-                let wall_ns = (o.started.elapsed().as_nanos() as u64).max(1);
-                let busy_ns = compress_busy_ns.saturating_add(exit.write_busy_ns);
-                let overlap_ns = busy_ns.saturating_sub(wall_ns);
-                trace::counter("archive.overlap_ns", overlap_ns);
-                trace::counter(
-                    "archive.overlap_fraction_pct",
-                    overlap_ns.saturating_mul(100) / wall_ns,
-                );
-                let WriterExit {
-                    mut sink,
-                    directory,
-                    offset,
-                    ..
-                } = exit;
-                write_directory(&mut sink, &directory, offset)?;
-                Ok(sink)
+                trace::counter("archive.hidden_pct", busy.hidden_pct());
+                sink.finish()
             }
         }
     }
@@ -686,61 +482,6 @@ impl<'a> ArchiveReader<'a> {
         self.directory.get(i)
     }
 
-    /// Directory entry and raw stored bytes of chunk `i`'s section.
-    fn section_bytes(&self, i: usize) -> Result<(&ChunkEntry, &'a [u8])> {
-        let entry = self
-            .directory
-            .get(i)
-            .ok_or(PrimacyError::Format("chunk index out of range"))?;
-        let end = self
-            .directory
-            .get(i + 1)
-            .map(|e| e.offset as usize)
-            .unwrap_or_else(|| self.data.len() - FOOTER_LEN - self.directory.len() * 20);
-        let section = self
-            .data
-            .get(entry.offset as usize..end)
-            .ok_or(PrimacyError::Truncated)?;
-        Ok((entry, section))
-    }
-
-    /// Decode one chunk's section bytes into `out`, verifying size and CRC.
-    fn decode_section(
-        &self,
-        entry: &ChunkEntry,
-        section: &[u8],
-        scratch: &mut DecodeScratch,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let mut reader = Reader::new(section, 0, section.len());
-        let mut timings = StageTimings::default();
-        pipeline::decompress_chunk_into(
-            &mut reader,
-            &self.header,
-            self.codec.as_ref(),
-            scratch,
-            &mut timings,
-            out,
-        )?;
-        let expected = entry
-            .elements
-            .checked_mul(self.header.element_size as u64)
-            .ok_or(PrimacyError::Truncated)?;
-        if out.len() as u64 != expected {
-            return Err(PrimacyError::Format("chunk decoded to unexpected size"));
-        }
-        let actual = crc32(out);
-        if actual != entry.crc {
-            return Err(PrimacyError::Codec(
-                primacy_codecs::CodecError::ChecksumMismatch {
-                    expected: entry.crc,
-                    actual,
-                },
-            ));
-        }
-        Ok(())
-    }
-
     /// Decompress chunk `i`, verifying its CRC.
     pub fn read_chunk(&self, i: usize) -> Result<Vec<u8>> {
         let mut out = Vec::new();
@@ -768,8 +509,45 @@ impl<'a> ArchiveReader<'a> {
     ) -> Result<()> {
         let _span = trace::span("archive.read_chunk");
         trace::counter("archive.chunks_read", 1);
-        let (entry, section) = self.section_bytes(i)?;
-        self.decode_section(entry, section, scratch, out)
+        let entry = self
+            .directory
+            .get(i)
+            .ok_or(PrimacyError::Format("chunk index out of range"))?;
+        let end = self
+            .directory
+            .get(i + 1)
+            .map(|e| e.offset as usize)
+            .unwrap_or_else(|| self.data.len() - FOOTER_LEN - self.directory.len() * 20);
+        let section = self
+            .data
+            .get(entry.offset as usize..end)
+            .ok_or(PrimacyError::Truncated)?;
+        let mut reader = Reader::new(section, 0, section.len());
+        pipeline::decompress_chunk_into(
+            &mut reader,
+            &self.header,
+            self.codec.as_ref(),
+            scratch,
+            &mut StageTimings::default(),
+            out,
+        )?;
+        let expected = entry
+            .elements
+            .checked_mul(self.header.element_size as u64)
+            .ok_or(PrimacyError::Truncated)?;
+        if out.len() as u64 != expected {
+            return Err(PrimacyError::Format("chunk decoded to unexpected size"));
+        }
+        let actual = crc32(out);
+        if actual != entry.crc {
+            return Err(PrimacyError::Codec(
+                primacy_codecs::CodecError::ChecksumMismatch {
+                    expected: entry.crc,
+                    actual,
+                },
+            ));
+        }
+        Ok(())
     }
 
     /// Read an arbitrary element range, decompressing only the chunks it
@@ -824,7 +602,9 @@ impl<'a> ArchiveReader<'a> {
     /// Decompress the whole archive on `threads` worker threads. Chunks are
     /// fully independent (own index, own CRC), so this scales like the
     /// compression side — the restart-read analogue of compute nodes each
-    /// decompressing their own checkpoint shard.
+    /// decompressing their own checkpoint shard. Each worker decodes into
+    /// its chunk's own slice of the output; if several chunks are bad, the
+    /// error is that of the lowest one, as from [`Self::read_elements`].
     pub fn read_all_parallel(&self, threads: usize) -> Result<Vec<u8>> {
         let es = self.header.element_size;
         let total = self
@@ -847,182 +627,19 @@ impl<'a> ArchiveReader<'a> {
             slices.push(head);
             rest = tail;
         }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let failures = Mutex::new(Vec::<PrimacyError>::new());
-        let slices = Mutex::new(slices);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.max(1).min(self.directory.len().max(1)) {
-                scope.spawn(|| {
-                    // One trace merge per worker when it runs out of chunks.
-                    let _trace_scope = trace::thread_scope();
-                    // Decode state and plaintext buffer reused across every
-                    // chunk this worker claims.
-                    let mut scratch = DecodeScratch::new();
-                    let mut chunk = Vec::new();
-                    loop {
-                        // ORDERING: Relaxed is enough — the counter only hands
-                        // out distinct indices; the mutexes below synchronize.
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= self.directory.len() {
-                            break;
-                        }
-                        // Take this chunk's output slice out of the shared list.
-                        // Workers never panic while holding the lock, but recover
-                        // from poison anyway: the data is a plain slice list.
-                        let slot = {
-                            let mut guard = slices.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.get_mut(i).map(std::mem::take)
-                        };
-                        let result = slot.ok_or(PrimacyError::Truncated).and_then(|slot| {
-                            self.read_chunk_with(i, &mut scratch, &mut chunk)
-                                .map(|()| slot)
-                        });
-                        match result {
-                            Ok(slot) => slot.copy_from_slice(&chunk),
-                            Err(e) => failures.lock().unwrap_or_else(|e| e.into_inner()).push(e),
-                        }
-                    }
-                });
-            }
-        });
-        drop(slices); // release the borrows into `out`
-        if let Some(e) = failures
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-        {
-            return Err(e);
-        }
-        Ok(out)
-    }
-
-    /// Decompress the whole archive with a prefetching pipeline: a stager
-    /// thread reads chunk *n+1*'s stored bytes (recording them under the
-    /// `archive.read_prefetch` span) while `threads` decode workers are still
-    /// decompressing chunk *n*. The mirror image of the overlapped writer,
-    /// and byte-identical in output to [`ArchiveReader::read_all_parallel`].
-    pub fn read_all_pipelined(&self, threads: usize) -> Result<Vec<u8>> {
-        let es = self.header.element_size;
-        let total = self
-            .header
-            .total_elements
-            .checked_mul(es as u64)
-            .and_then(|t| usize::try_from(t).ok())
-            .ok_or(PrimacyError::Truncated)?;
-        let mut out = vec![0u8; total];
-        let chunk_count = self.directory.len();
-        // Carve the output into one contiguous slice per chunk (same scheme
-        // as `read_all_parallel`).
-        let mut slices: Vec<&mut [u8]> = Vec::with_capacity(chunk_count);
-        let mut rest = out.as_mut_slice();
-        for entry in &self.directory {
-            let (head, tail) = rest
-                .split_at_mut_checked((entry.elements as usize).saturating_mul(es))
-                .ok_or(PrimacyError::Truncated)?;
-            slices.push(head);
-            rest = tail;
-        }
-        let decode_workers = threads.max(1).min(chunk_count.max(1));
-        // Bounded staging: at most two staged chunks per decoder, so the
-        // stager cannot race ahead and buffer the whole archive.
-        let (tx, rx) = mpsc::sync_channel::<(usize, Vec<u8>)>(decode_workers * 2);
-        let rx = Mutex::new(rx);
-        let slices = Mutex::new(slices);
-        let failures = Mutex::new(Vec::<PrimacyError>::new());
-        let decoded = std::sync::atomic::AtomicUsize::new(0);
-        let failed = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let rx = &rx;
-            let slices = &slices;
-            let failures = &failures;
-            let decoded = &decoded;
-            let failed = &failed;
-            // Stager: copies each chunk's section bytes out of the archive —
-            // the stand-in for the storage fetch — ahead of the decoders.
-            // Owns `tx`, so the channel disconnects when staging completes.
-            scope.spawn(move || {
-                let _trace_scope = trace::thread_scope();
-                for i in 0..chunk_count {
-                    // ORDERING: Relaxed — a best-effort early-out; failures
-                    // are published by the mutex, not this flag.
-                    if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                        break;
-                    }
-                    let staged = {
-                        let _span = trace::span("archive.read_prefetch");
-                        match self.section_bytes(i) {
-                            Ok((_, section)) => section.to_vec(),
-                            Err(e) => {
-                                failures.lock().unwrap_or_else(|e| e.into_inner()).push(e);
-                                break;
-                            }
-                        }
-                    };
-                    trace::counter("archive.prefetch_bytes", staged.len() as u64);
-                    if tx.send((i, staged)).is_err() {
-                        break;
-                    }
-                }
-            });
-            for _ in 0..decode_workers {
-                scope.spawn(move || {
-                    let _trace_scope = trace::thread_scope();
-                    let mut scratch = DecodeScratch::new();
-                    let mut chunk = Vec::new();
-                    loop {
-                        let msg = { rx.lock().unwrap_or_else(|e| e.into_inner()).recv() };
-                        let Ok((i, staged)) = msg else { break };
-                        // After a failure, keep draining (cheaply) so the
-                        // stager never blocks on a full channel.
-                        // ORDERING: Relaxed — see the stager's load.
-                        if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                            continue;
-                        }
-                        trace::counter("archive.chunks_read", 1);
-                        let result = self
-                            .directory
-                            .get(i)
-                            .ok_or(PrimacyError::Truncated)
-                            .and_then(|entry| {
-                                let slot = {
-                                    let mut guard =
-                                        slices.lock().unwrap_or_else(|e| e.into_inner());
-                                    guard.get_mut(i).map(std::mem::take)
-                                };
-                                let slot = slot.ok_or(PrimacyError::Truncated)?;
-                                self.decode_section(entry, &staged, &mut scratch, &mut chunk)?;
-                                Ok(slot)
-                            });
-                        match result {
-                            Ok(slot) => {
-                                slot.copy_from_slice(&chunk);
-                                // ORDERING: Relaxed — a completion tally read
-                                // only after the scope join below.
-                                decoded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
-                            Err(e) => {
-                                failures.lock().unwrap_or_else(|e| e.into_inner()).push(e);
-                                // ORDERING: Relaxed — see the stager's load.
-                                failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        drop(slices); // release the borrows into `out`
-        if let Some(e) = failures
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-        {
-            return Err(e);
-        }
-        // ORDERING: Relaxed — the scope join above already published all
-        // worker writes.
-        if decoded.load(std::sync::atomic::Ordering::Relaxed) != chunk_count {
-            return Err(PrimacyError::Format("pipelined read lost a chunk"));
-        }
+        par::ordered_map(
+            slices.into_iter(),
+            threads,
+            // Decode state and plaintext buffer reused across every chunk a
+            // worker claims.
+            || (DecodeScratch::new(), Vec::new()),
+            |(scratch, chunk), i, slot| {
+                self.read_chunk_with(i, scratch, chunk)?;
+                slot.copy_from_slice(chunk);
+                Ok(())
+            },
+            |()| Ok(()),
+        )?;
         Ok(out)
     }
 
@@ -1207,6 +824,33 @@ mod tests {
         archive[40] ^= 0x10; // inside the first chunk section
         if let Ok(r) = ArchiveReader::open(&archive) {
             assert!(r.read_all_parallel(4).is_err());
+        }
+    }
+
+    #[test]
+    fn parallel_read_reports_the_lowest_bad_chunk() {
+        let mut archive = build_archive(&sample_values(4000)); // 8 chunks
+                                                               // Forge the directory CRCs of chunks 1 and 5, then fix up the
+                                                               // directory checksum so the archive still opens.
+        let footer = archive.len() - FOOTER_LEN;
+        let dir = u64::from_le_bytes(archive[footer..footer + 8].try_into().unwrap()) as usize;
+        for chunk in [1, 5] {
+            archive[dir + 20 * chunk + 16] ^= 0xFF;
+        }
+        let dir_crc = crc32(&archive[dir..footer]);
+        archive[footer + 12..footer + 16].copy_from_slice(&dir_crc.to_le_bytes());
+        let r = ArchiveReader::open(&archive).unwrap();
+        let expected = r.read_elements(0, 4000).unwrap_err();
+        assert_eq!(expected, r.read_chunk(1).unwrap_err());
+        assert_ne!(expected, r.read_chunk(5).unwrap_err());
+        for threads in [1, 2, 7, 16] {
+            for _ in 0..5 {
+                assert_eq!(
+                    r.read_all_parallel(threads).unwrap_err(),
+                    expected,
+                    "threads={threads}"
+                );
+            }
         }
     }
 

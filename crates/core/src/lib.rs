@@ -56,6 +56,8 @@ pub mod idmap;
 pub mod isobar;
 /// Row/column linearization of the hi-byte matrix.
 pub mod linearize;
+/// The one ordered chunk-parallel engine behind every parallel path.
+mod par;
 /// The end-to-end compression pipeline.
 pub mod pipeline;
 /// Hi/lo byte-plane splitting.

@@ -7,6 +7,7 @@ use crate::freq::FreqTable;
 use crate::idmap::IdMap;
 use crate::isobar;
 use crate::linearize::{to_columns, to_rows, to_rows_into};
+use crate::par;
 use crate::split::{join_hi_lo, join_hi_lo_into, split_hi_lo};
 use crate::stats::{
     CompressionStats, StageTimings, STAGE_DEFLATE, STAGE_FREQ, STAGE_IDMAP, STAGE_ISOBAR,
@@ -25,6 +26,20 @@ fn stage(total: &mut Duration, name: &'static str, since: Instant) {
     let dt = since.elapsed();
     *total += dt;
     trace::span_duration(name, dt);
+}
+
+/// The stream container's CRC-32 of `plain`, with the time it took. The CRC
+/// is integrity-trailer work of the backend/container stage, exactly like
+/// the Adler-32 the zlib container already counts under codec time — so it
+/// accrues to the deflate stage, with a dedicated span so the breakdown
+/// stays visible.
+fn container_crc(plain: &[u8]) -> (u32, Duration) {
+    let t = Instant::now();
+    let crc = crc32(plain);
+    let dt = t.elapsed();
+    trace::span_duration(STAGE_DEFLATE, dt);
+    trace::span_duration("container.crc", dt);
+    (crc, dt)
 }
 
 /// A configured PRIMACY compressor/decompressor.
@@ -100,25 +115,7 @@ impl PrimacyCompressor {
 
     /// Compress and report per-stage statistics.
     pub fn compress_bytes_with_stats(&self, input: &[u8]) -> Result<(Vec<u8>, CompressionStats)> {
-        if !input.len().is_multiple_of(self.config.element_size) {
-            return Err(PrimacyError::InvalidInput(
-                "input length is not a multiple of the element size",
-            ));
-        }
-        let total_elements = (input.len() / self.config.element_size) as u64;
-        let mut out = Vec::with_capacity(input.len() / 2 + 64);
-        format::write_header(
-            &mut out,
-            &Header {
-                element_size: self.config.element_size,
-                hi_bytes: self.config.hi_bytes,
-                linearization: self.config.linearization,
-                codec: self.config.codec,
-                total_elements,
-            },
-        );
-
-        let chunk_bytes = self.config.chunk_elements() * self.config.element_size;
+        let mut out = self.start_stream(input)?;
         let mut prev_index: Option<IndexState> = None;
         // One codec scratch for the whole stream: after the first chunk the
         // encoder's hash-chain and token buffers are reused, so steady-state
@@ -129,7 +126,7 @@ impl PrimacyCompressor {
         let mut own_index_chunks = 0usize;
         let mut weighted_alpha2 = 0f64;
 
-        for chunk in input.chunks(chunk_bytes.max(self.config.element_size)) {
+        for chunk in input.chunks(self.chunk_bytes()) {
             let info = self.compress_chunk(chunk, &mut prev_index, &mut scratch, &mut out)?;
             timings.add(&info.timings);
             chunks += 1;
@@ -139,16 +136,9 @@ impl PrimacyCompressor {
             weighted_alpha2 += info.alpha2 * chunk.len() as f64;
         }
 
-        // The container CRC is integrity-trailer work of the backend/container
-        // stage, exactly like the Adler-32 the zlib container already counts
-        // under codec time — so it accrues to the deflate stage, with a
-        // dedicated span so the breakdown stays visible.
-        let t = Instant::now();
-        out.extend_from_slice(&crc32(input).to_le_bytes());
-        let dt = t.elapsed();
+        let (crc, dt) = container_crc(input);
+        out.extend_from_slice(&crc.to_le_bytes());
         timings.codec += dt;
-        trace::span_duration(STAGE_DEFLATE, dt);
-        trace::span_duration("container.crc", dt);
         let stats = CompressionStats {
             original_bytes: input.len(),
             compressed_bytes: out.len(),
@@ -167,52 +157,44 @@ impl PrimacyCompressor {
     /// Compress chunks on `threads` worker threads (chunk sections are
     /// independent, so this parallelizes embarrassingly — the paper runs the
     /// preconditioner on every compute node's own data the same way).
+    /// Sections stream into the output in chunk order as they complete.
     ///
     /// Under [`IndexPolicy::Reuse`] each chunk falls back to its own index,
     /// since cross-chunk reuse would serialize the workers.
     pub fn compress_bytes_parallel(&self, input: &[u8], threads: usize) -> Result<Vec<u8>> {
+        let mut out = self.start_stream(input)?;
+        par::ordered_map(
+            input.chunks(self.chunk_bytes()),
+            threads,
+            CodecScratch::new,
+            |scratch, _, chunk| {
+                let mut section = Vec::new();
+                self.compress_chunk(chunk, &mut None, scratch, &mut section)?;
+                Ok(section)
+            },
+            |section| {
+                out.extend_from_slice(&section);
+                Ok(())
+            },
+        )?;
+        out.extend_from_slice(&container_crc(input).0.to_le_bytes());
+        Ok(out)
+    }
+
+    /// Bytes per chunk: whole elements, at least one, never more than the
+    /// configured `chunk_bytes` unless that is smaller than one element.
+    pub(crate) fn chunk_bytes(&self) -> usize {
+        self.config.chunk_elements() * self.config.element_size
+    }
+
+    /// Check that `input` is element-aligned and start its stream container
+    /// with the header.
+    fn start_stream(&self, input: &[u8]) -> Result<Vec<u8>> {
         if !input.len().is_multiple_of(self.config.element_size) {
             return Err(PrimacyError::InvalidInput(
                 "input length is not a multiple of the element size",
             ));
         }
-        let threads = threads.max(1);
-        let chunk_bytes =
-            (self.config.chunk_elements() * self.config.element_size).max(self.config.element_size);
-        let chunks: Vec<&[u8]> = input.chunks(chunk_bytes).collect();
-        let mut sections: Vec<Result<Vec<u8>>> = Vec::with_capacity(chunks.len());
-        sections.resize_with(chunks.len(), || Ok(Vec::new()));
-
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let sections_mutex = std::sync::Mutex::new(&mut sections);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(chunks.len().max(1)) {
-                scope.spawn(|| {
-                    // Merge this worker's trace aggregate into the sink in
-                    // one call when the thread finishes its share.
-                    let _trace_scope = trace::thread_scope();
-                    // One scratch per worker thread, reused across every
-                    // chunk this worker claims.
-                    let mut scratch = CodecScratch::new();
-                    loop {
-                        // ORDERING: Relaxed is enough — the counter only hands
-                        // out distinct indices; the scope join publishes data.
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= chunks.len() {
-                            break;
-                        }
-                        let mut buf = Vec::new();
-                        let mut no_prev = None;
-                        let r = self
-                            .compress_chunk(chunks[i], &mut no_prev, &mut scratch, &mut buf)
-                            .map(|_| buf);
-                        let mut guard = sections_mutex.lock().unwrap_or_else(|e| e.into_inner());
-                        guard[i] = r;
-                    }
-                });
-            }
-        });
-
         let mut out = Vec::with_capacity(input.len() / 2 + 64);
         format::write_header(
             &mut out,
@@ -224,14 +206,6 @@ impl PrimacyCompressor {
                 total_elements: (input.len() / self.config.element_size) as u64,
             },
         );
-        for section in sections {
-            out.extend_from_slice(&section?);
-        }
-        let t = Instant::now();
-        out.extend_from_slice(&crc32(input).to_le_bytes());
-        let dt = t.elapsed();
-        trace::span_duration(STAGE_DEFLATE, dt);
-        trace::span_duration("container.crc", dt);
         Ok(out)
     }
 
@@ -400,12 +374,8 @@ impl PrimacyCompressor {
         }
         let stored =
             u32::from_le_bytes(format::read_array(input, body_end).ok_or(PrimacyError::Truncated)?);
-        let t = Instant::now();
-        let actual = crc32(&out);
-        let dt = t.elapsed();
+        let (actual, dt) = container_crc(&out);
         timings.codec += dt;
-        trace::span_duration(STAGE_DEFLATE, dt);
-        trace::span_duration("container.crc", dt);
         if stored != actual {
             return Err(PrimacyError::Codec(
                 primacy_codecs::CodecError::ChecksumMismatch {
