@@ -78,9 +78,10 @@ conformance() {
 
 bench() {
     # Throughput benchmark in smoke mode: validates the BENCH_throughput.json
-    # schema, asserts every per-stage/per-codec rate is a finite positive
-    # number, and gates per-corpus compression ratios against the checked-in
-    # results/ratio-baseline.json (±0.5%). Absolute MB/s figures are
+    # schema (6 compress and 5 decompress stage records per corpus), asserts
+    # every per-stage/per-codec rate is a finite positive number no higher
+    # than 10^6 MB/s, and gates per-corpus compression ratios against the
+    # checked-in results/ratio-baseline.json (±0.5%). Absolute MB/s figures are
     # report-only — CI machines vary — the full-size trajectory lives in
     # EXPERIMENTS.md. The smoke report JSON is kept for artifact upload.
     run env PRIMACY_BENCH_JSON=results/BENCH_throughput_smoke.json \

@@ -12,17 +12,18 @@
 //!
 //! Run with `cargo run --release -p primacy-bench --bin throughput`.
 //! `-- --smoke` runs a tiny-input self-check (used by ci.sh): it validates the
-//! report schema, asserts every throughput is a sane positive number, and
-//! gates every per-corpus compression ratio against the checked-in
-//! `results/ratio-baseline.json` (±0.5% relative). Speed is machine-dependent
-//! and stays report-only; ratios are deterministic, so a drift means the
-//! encoder's output actually changed — refresh the baseline intentionally
-//! with `-- --write-ratio-baseline` when a ratio improvement is the point of
-//! a change.
+//! report schema, asserts every throughput is a positive number below
+//! 10⁶ MB/s, and gates every per-corpus compression ratio against the
+//! checked-in `results/ratio-baseline.json` (±0.5% relative). Speed is
+//! machine-dependent and stays report-only; ratios are deterministic, so a
+//! drift means the encoder's output actually changed — refresh the baseline
+//! intentionally with `-- --write-ratio-baseline` when a ratio improvement is
+//! the point of a change.
 //!
 //! Stage MB/s figures divide the corpus size by that stage's wall time, so
 //! they read as "the throughput the pipeline would have if only this stage
 //! existed" — the bottleneck stage is the one closest to the end-to-end row.
+//! A stage a direction never runs (`freq` on decompress) gets no record.
 
 use primacy_bench::json::{self, Value};
 use primacy_bench::{dataset_elements, harness, mbps, rule, Report};
@@ -72,6 +73,10 @@ const RATIO_BASELINE: &str = "results/ratio-baseline.json";
 /// Relative drift allowed before the ratio gate fails. Compression is
 /// deterministic, so this only absorbs float formatting, not real variance.
 const RATIO_TOLERANCE: f64 = 0.005;
+/// Ceiling of the `--smoke` gate on every MB/s record: far above any real
+/// rate (the fastest smoke stage runs at tens of GB/s), so a record above it
+/// is a measurement bug such as a rate over a zero-time stage.
+const MAX_PLAUSIBLE_MBPS: f64 = 1e6;
 
 fn per_stage_mbps(
     report: &mut Report,
@@ -92,12 +97,14 @@ fn per_stage_mbps(
             .collect();
         secs.sort_by(f64::total_cmp);
         let median = secs[secs.len() / 2];
-        // A stage that took no measurable time reports its throughput as the
-        // whole-corpus-per-tick sentinel rather than infinity.
-        let rate = bytes as f64 / 1e6 / median.max(1e-9);
+        // A stage this direction never runs (`freq` on decode) measured no
+        // time, so it has no throughput to record.
+        if median == 0.0 {
+            continue;
+        }
         report.push(
             format!("throughput/{corpus}/stage/{stage}/{dir}_mbps"),
-            rate,
+            bytes as f64 / 1e6 / median,
         );
     }
 }
@@ -327,8 +334,10 @@ fn check_ratio_baseline(elements: usize, ratios: &[(String, f64)]) {
     );
 }
 
-/// Smoke-mode gate: the JSON document has the expected shape and every
-/// throughput is a positive finite number. Absolute numbers are report-only.
+/// Smoke-mode gate: the JSON document has the expected shape, every record
+/// is a positive finite number, every throughput is below
+/// [`MAX_PLAUSIBLE_MBPS`], and each direction reports only the stages it
+/// runs. Absolute numbers are report-only.
 fn validate(v: &Value) {
     assert_eq!(
         v.get("experiment").and_then(Value::as_str),
@@ -340,6 +349,7 @@ fn validate(v: &Value) {
         .and_then(Value::as_array)
         .expect("report has a records array");
     let mut mbps_keys = 0usize;
+    let (mut compress_stages, mut decompress_stages) = (0usize, 0usize);
     for rec in records {
         let key = rec
             .get("key")
@@ -354,11 +364,30 @@ fn validate(v: &Value) {
             "{key} = {value} violates the >0 floor"
         );
         if key.ends_with("_mbps") {
+            assert!(
+                value <= MAX_PLAUSIBLE_MBPS,
+                "{key} = {value} MB/s is above the {MAX_PLAUSIBLE_MBPS} MB/s ceiling"
+            );
             mbps_keys += 1;
         }
+        if key.contains("/stage/") {
+            if key.ends_with("/compress_mbps") {
+                compress_stages += 1;
+            } else if key.ends_with("/decompress_mbps") {
+                decompress_stages += 1;
+            }
+        }
     }
-    // 4 corpora × (2 end-to-end + 12 stage + 6 codec) MB/s records.
-    let expected = 4 * (2 + 2 * STAGES.len() + 2 * CODECS.len());
+    // Per corpus: compress runs all six stages, decompress every stage but
+    // `freq`.
+    let corpora = 4;
+    assert_eq!(
+        (compress_stages, decompress_stages),
+        (corpora * STAGES.len(), corpora * (STAGES.len() - 1)),
+        "expected 6 compress and 5 decompress stage records per corpus"
+    );
+    // 4 corpora × (2 end-to-end + 11 stage + 6 codec) MB/s records.
+    let expected = corpora * (2 + 2 * STAGES.len() - 1 + 2 * CODECS.len());
     assert_eq!(
         mbps_keys, expected,
         "expected {expected} *_mbps records, found {mbps_keys}"

@@ -13,9 +13,10 @@
 use primacy_bench::json::Value;
 use primacy_codecs::CodecKind;
 use primacy_core::analysis;
+use primacy_core::format::ARCHIVE_MAGIC;
 use primacy_core::{
-    resolve_threads, ArchiveReader, ArchiveWriter, ElementReader, IndexPolicy, Linearization,
-    PrimacyCompressor, PrimacyConfig, STAGES,
+    parse_flag, resolve_threads, ArchiveReader, ArchiveWriter, ElementReader, IndexPolicy,
+    Linearization, PrimacyCompressor, PrimacyConfig, STAGES,
 };
 use primacy_datagen::DatasetId;
 use primacy_trace as trace;
@@ -41,13 +42,6 @@ fn usage() -> ExitCode {
          primacy list"
     );
     ExitCode::from(2)
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 /// The `--trace` sink: one process-wide collector the pipeline's per-thread
@@ -387,7 +381,7 @@ fn run() -> Result<(), String> {
             let data = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
             let tracing = setup_trace(&args)?;
             let t0 = Instant::now();
-            let (bytes, kind) = if data.len() >= 4 && &data[..4] == b"PRMA" {
+            let (bytes, kind) = if data.starts_with(ARCHIVE_MAGIC) {
                 let r = ArchiveReader::open(&data).map_err(|e| e.to_string())?;
                 (
                     r.read_all_parallel(resolve_threads(0))
@@ -451,28 +445,6 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn parse_flag_extracts_typed_values() {
-        let a = args(&[
-            "compress",
-            "in",
-            "out",
-            "--chunk-kb",
-            "512",
-            "--threads",
-            "4",
-        ]);
-        assert_eq!(parse_flag::<usize>(&a, "--chunk-kb"), Some(512));
-        assert_eq!(parse_flag::<usize>(&a, "--threads"), Some(4));
-        assert_eq!(parse_flag::<usize>(&a, "--missing"), None);
-        // Flag present but value unparsable.
-        let a = args(&["x", "--threads", "lots"]);
-        assert_eq!(parse_flag::<usize>(&a, "--threads"), None);
-        // Flag at the end with no value.
-        let a = args(&["x", "--threads"]);
-        assert_eq!(parse_flag::<usize>(&a, "--threads"), None);
     }
 
     #[test]

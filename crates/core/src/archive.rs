@@ -18,6 +18,8 @@
 //! Every chunk carries its own ID index (reuse would reintroduce the serial
 //! dependency random access is meant to remove) and its own CRC-32, so a
 //! partial read is integrity-checked without touching the rest of the file.
+//! The layout prefix is the stream's, under [`format::ARCHIVE_MAGIC`], and
+//! the chunk sections go through the stream's decoder with index reuse off.
 
 use crate::config::PrimacyConfig;
 use crate::error::{PrimacyError, Result};
@@ -31,8 +33,6 @@ use primacy_trace as trace;
 use std::io::Write;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"PRMA";
-const VERSION: u8 = 1;
 /// Fixed footer size: offset + count + crc + magic.
 const FOOTER_LEN: usize = 8 + 4 + 4 + 4;
 /// Decompression-bomb bound: a chunk section of `S` stored bytes may not
@@ -88,12 +88,10 @@ struct SinkState<W> {
 }
 
 impl<W: Write> SinkState<W> {
-    /// Write the fixed 9-byte archive header; the first section follows it.
+    /// Write the archive's layout prefix; the first section follows it.
     fn start(mut sink: W, cfg: &PrimacyConfig) -> Result<Self> {
-        let mut header = MAGIC.to_vec();
-        header.extend([VERSION, cfg.element_size as u8, cfg.hi_bytes as u8]);
-        header.push(format::linearization_to_byte(cfg.linearization));
-        header.push(format::codec_to_byte(cfg.codec));
+        let mut header = Vec::with_capacity(format::LAYOUT_LEN);
+        format::write_layout(&mut header, format::ARCHIVE_MAGIC, &Header::new(cfg, 0));
         write_all(&mut sink, &header)?;
         Ok(Self {
             sink,
@@ -124,7 +122,7 @@ impl<W: Write> SinkState<W> {
         footer.extend_from_slice(&self.offset.to_le_bytes());
         footer.extend_from_slice(&((self.directory.len() / 20) as u32).to_le_bytes());
         footer.extend_from_slice(&crc32(&self.directory).to_le_bytes());
-        footer.extend_from_slice(MAGIC);
+        footer.extend_from_slice(format::ARCHIVE_MAGIC);
         write_all(&mut self.sink, &self.directory)?;
         write_all(&mut self.sink, &footer)?;
         Ok(self.sink)
@@ -348,35 +346,14 @@ impl<'a> ArchiveReader<'a> {
     /// attacker-controlled; each one is validated against the actual buffer
     /// with checked arithmetic before it is used to slice or allocate.
     pub fn open(data: &'a [u8]) -> Result<Self> {
-        if data.len() < 9 + FOOTER_LEN {
+        if data.len() < format::LAYOUT_LEN + FOOTER_LEN {
             return Err(PrimacyError::Format("not a PRIMACY archive"));
         }
-        let head: [u8; 9] =
-            format::read_array(data, 0).ok_or(PrimacyError::Format("not a PRIMACY archive"))?;
-        let [m0, m1, m2, m3, version, es, hi, lin, codec_byte] = head;
-        if [m0, m1, m2, m3] != *MAGIC {
-            return Err(PrimacyError::Format("not a PRIMACY archive"));
-        }
-        if version != VERSION {
-            return Err(PrimacyError::UnsupportedVersion(version));
-        }
-        let element_size = es as usize;
-        let hi_bytes = hi as usize;
-        if element_size == 0
-            || element_size > 16
-            || hi_bytes == 0
-            || hi_bytes > 2
-            || hi_bytes >= element_size
-        {
-            return Err(PrimacyError::Format("implausible archive layout"));
-        }
-        let linearization = format::linearization_from_byte(lin)?;
-        let codec_kind = format::codec_from_byte(codec_byte)?;
-
+        let layout = format::read_layout(data, format::ARCHIVE_MAGIC)?;
         let footer_at = data.len() - FOOTER_LEN;
         let footer_magic: [u8; 4] =
             format::read_array(data, footer_at + 16).ok_or(PrimacyError::Truncated)?;
-        if footer_magic != *MAGIC {
+        if footer_magic != *format::ARCHIVE_MAGIC {
             return Err(PrimacyError::Format("archive footer magic missing"));
         }
         let directory_offset =
@@ -439,24 +416,20 @@ impl<'a> ArchiveReader<'a> {
                 .map(|e| e.offset)
                 .unwrap_or(directory_offset as u64);
             let section_len = section_end.saturating_sub(entry.offset);
-            let plain = entry.elements.saturating_mul(element_size as u64);
+            let plain = entry.elements.saturating_mul(layout.element_size as u64);
             if plain > section_len.saturating_mul(MAX_CHUNK_EXPANSION) {
                 return Err(PrimacyError::Format(
                     "archive chunk claims implausible expansion",
                 ));
             }
         }
-        let header = Header {
-            element_size,
-            hi_bytes,
-            linearization,
-            codec: codec_kind,
-            total_elements: total,
-        };
         Ok(Self {
             data,
-            header,
-            codec: codec_kind.build(),
+            header: Header {
+                total_elements: total,
+                ..layout
+            },
+            codec: layout.codec.build(),
             directory,
             starts,
         })
@@ -485,22 +458,16 @@ impl<'a> ArchiveReader<'a> {
     /// Decompress chunk `i`, verifying its CRC.
     pub fn read_chunk(&self, i: usize) -> Result<Vec<u8>> {
         let mut out = Vec::new();
-        self.read_chunk_into(i, &mut out)?;
+        self.read_chunk_with(i, &mut DecodeScratch::new(), &mut out)?;
         Ok(out)
     }
 
     /// [`ArchiveReader::read_chunk`] into a caller-owned buffer (cleared
-    /// first, capacity kept), so repeated reads stop allocating a fresh
-    /// plaintext vector per chunk.
-    pub fn read_chunk_into(&self, i: usize, out: &mut Vec<u8>) -> Result<()> {
-        self.read_chunk_with(i, &mut DecodeScratch::new(), out)
-    }
-
-    /// [`ArchiveReader::read_chunk_into`] that also reuses all decode working
-    /// memory from `scratch`. A warm call — same or smaller chunk than the
-    /// scratch has already seen — performs no allocations, which the
-    /// counting-allocator test in `crates/core/tests/read_alloc_count.rs`
-    /// enforces.
+    /// first, capacity kept), reusing all decode working memory from
+    /// `scratch`. A warm call — same or smaller chunk than the scratch has
+    /// already seen — performs no allocations, which the counting-allocator
+    /// test in `crates/core/tests/read_alloc_count.rs` enforces. The chunk is
+    /// decoded from its own index only, whatever `scratch` decoded before.
     pub fn read_chunk_with(
         &self,
         i: usize,
@@ -527,6 +494,7 @@ impl<'a> ArchiveReader<'a> {
             &mut reader,
             &self.header,
             self.codec.as_ref(),
+            false,
             scratch,
             &mut StageTimings::default(),
             out,
@@ -650,15 +618,7 @@ impl<'a> ArchiveReader<'a> {
                 "read_elements_f64 requires 8-byte elements",
             ));
         }
-        let bytes = self.read_elements(start, count)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(c);
-                f64::from_le_bytes(a)
-            })
-            .collect())
+        Ok(pipeline::f64s_from_le(&self.read_elements(start, count)?))
     }
 }
 
@@ -852,6 +812,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn stripped_index_never_borrows_a_previous_chunks_map() {
+        use std::io::Read as _;
+        // Two identical halves give both chunks the same index, so a decoder
+        // that lent chunk 0's map to chunk 1 would return the right bytes
+        // and pass the CRC.
+        let half = sample_values(512);
+        let values: Vec<f64> = half.iter().chain(&half).copied().collect();
+        let mut archive = build_archive(&values);
+        let footer = archive.len() - FOOTER_LEN;
+        let dir = u64::from_le_bytes(archive[footer..footer + 8].try_into().unwrap()) as usize;
+        let chunk1 = u64::from_le_bytes(archive[dir + 20..dir + 28].try_into().unwrap()) as usize;
+        // Clear chunk 1's own-index flag and cut its `varint k` and index
+        // bytes; only the footer's directory offset moves, so the directory
+        // and its CRC stay valid.
+        let (_, n_len) = format::read_varint(&archive[chunk1..]).unwrap();
+        let flags = chunk1 + n_len;
+        assert_eq!(archive[flags], format::FLAG_OWN_INDEX);
+        archive[flags] = 0;
+        let (k, k_len) = format::read_varint(&archive[flags + 1..]).unwrap();
+        let cut = k_len + 2 * k as usize;
+        archive.drain(flags + 1..flags + 1 + cut);
+        let footer = footer - cut;
+        archive[footer..footer + 8].copy_from_slice(&((dir - cut) as u64).to_le_bytes());
+
+        let r = ArchiveReader::open(&archive).unwrap();
+        assert_eq!(r.read_elements_f64(0, 512).unwrap(), half);
+        let expected = r.read_chunk(1).unwrap_err();
+        assert_eq!(
+            expected,
+            PrimacyError::Format("chunk reuses a missing index")
+        );
+        assert_eq!(r.read_elements(0, 1024).unwrap_err(), expected);
+        for threads in [1, 2] {
+            let err = r.read_all_parallel(threads).unwrap_err();
+            assert_eq!(err, expected, "threads={threads}");
+        }
+        let mut plain = Vec::new();
+        let err = crate::stream::ElementReader::new(&r)
+            .read_to_end(&mut plain)
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -116,6 +116,17 @@ pub fn resolve_threads(requested: usize) -> usize {
     .max(1)
 }
 
+/// The value after `flag` in a command line's `args`, parsed as `T`; `None`
+/// when the flag is absent, has no value after it, or the value does not
+/// parse. The one flag parser of the `primacy`, `primacy-serve` and
+/// `primacy-loadgen` binaries.
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
+}
+
 /// Full pipeline configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrimacyConfig {
@@ -294,6 +305,29 @@ mod tests {
         assert!(resolve_threads(0) >= 1, "auto-detect floors at one");
         assert_eq!(resolve_threads(1), 1);
         assert_eq!(resolve_threads(7), 7);
+    }
+
+    #[test]
+    fn parse_flag_extracts_typed_values() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let a = args(&[
+            "compress",
+            "in",
+            "out",
+            "--chunk-kb",
+            "512",
+            "--threads",
+            "4",
+        ]);
+        assert_eq!(parse_flag::<usize>(&a, "--chunk-kb"), Some(512));
+        assert_eq!(parse_flag::<usize>(&a, "--threads"), Some(4));
+        assert_eq!(parse_flag::<usize>(&a, "--missing"), None);
+        // Flag present but value unparsable.
+        let a = args(&["x", "--threads", "lots"]);
+        assert_eq!(parse_flag::<usize>(&a, "--threads"), None);
+        // Flag at the end with no value.
+        let a = args(&["x", "--threads"]);
+        assert_eq!(parse_flag::<usize>(&a, "--threads"), None);
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! layout parameters, every chunk carries (or references) its ID index and
 //! ISOBAR mask, and a CRC-32 of the original data closes the stream.
 //!
+//! Both containers open with the same 9-byte layout prefix, told apart by
+//! their magic ([`MAGIC`] for streams, [`ARCHIVE_MAGIC`] for archives);
+//! [`write_layout`] and [`read_layout`] are its one codec.
+//!
 //! ```text
 //! "PRIM" | version u8 | element_size u8 | hi_bytes u8 | linearization u8 |
 //! codec u8 | varint total_elements |
@@ -17,14 +21,18 @@
 //! | crc32-le(original bytes)
 //! ```
 
-use crate::config::Linearization;
+use crate::config::{Linearization, PrimacyConfig};
 use crate::error::{PrimacyError, Result};
 use primacy_codecs::CodecKind;
 
 /// Stream magic.
 pub const MAGIC: &[u8; 4] = b"PRIM";
-/// Current format version.
+/// Archive magic ([`crate::archive`]); the archive footer ends with it too.
+pub const ARCHIVE_MAGIC: &[u8; 4] = b"PRMA";
+/// Current format version of both containers.
 pub const VERSION: u8 = 1;
+/// Bytes in the layout prefix (magic, version and four layout bytes).
+pub const LAYOUT_LEN: usize = 9;
 
 /// Chunk flag: chunk carries its own index (vs. reusing the previous one).
 pub const FLAG_OWN_INDEX: u8 = 0b0000_0001;
@@ -95,24 +103,39 @@ pub struct Header {
     pub total_elements: u64,
 }
 
-/// Write the stream header.
-pub fn write_header(out: &mut Vec<u8>, h: &Header) {
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.push(h.element_size as u8);
-    out.push(h.hi_bytes as u8);
-    out.push(linearization_to_byte(h.linearization));
-    out.push(codec_to_byte(h.codec));
-    write_varint(out, h.total_elements);
+impl Header {
+    /// The header `config` writes for `total_elements` elements.
+    pub fn new(config: &PrimacyConfig, total_elements: u64) -> Self {
+        Self {
+            element_size: config.element_size,
+            hi_bytes: config.hi_bytes,
+            linearization: config.linearization,
+            codec: config.codec,
+            total_elements,
+        }
+    }
 }
 
-/// Parse the stream header; returns the header and the offset of the first
-/// chunk.
-pub fn read_header(input: &[u8]) -> Result<(Header, usize)> {
-    let head: [u8; 9] =
-        read_array(input, 0).ok_or(PrimacyError::Format("stream shorter than header"))?;
+/// Write the layout prefix under `magic`: every field of `h` except its
+/// element count, which each container records its own way.
+pub fn write_layout(out: &mut Vec<u8>, magic: &[u8; 4], h: &Header) {
+    out.extend_from_slice(magic);
+    out.extend([
+        VERSION,
+        h.element_size as u8,
+        h.hi_bytes as u8,
+        linearization_to_byte(h.linearization),
+        codec_to_byte(h.codec),
+    ]);
+}
+
+/// Parse and validate the layout prefix under `magic`. The returned header's
+/// `total_elements` is 0; the caller reads its container's own count.
+pub fn read_layout(input: &[u8], magic: &[u8; 4]) -> Result<Header> {
+    let head: [u8; LAYOUT_LEN] =
+        read_array(input, 0).ok_or(PrimacyError::Format("input shorter than layout header"))?;
     let [m0, m1, m2, m3, version, es, hi, lin, codec_byte] = head;
-    if [m0, m1, m2, m3] != *MAGIC {
+    if [m0, m1, m2, m3] != *magic {
         return Err(PrimacyError::Format("bad magic"));
     }
     if version != VERSION {
@@ -128,20 +151,29 @@ pub fn read_header(input: &[u8]) -> Result<(Header, usize)> {
     {
         return Err(PrimacyError::Format("implausible layout parameters"));
     }
-    let linearization = linearization_from_byte(lin)?;
-    let codec = codec_from_byte(codec_byte)?;
-    let (total_elements, used) = read_varint(input.get(9..).unwrap_or(&[]))?;
-    Ok((
-        Header {
-            element_size,
-            hi_bytes,
-            linearization,
-            codec,
-            total_elements,
-        },
-        // A varint never exceeds 10 bytes, so the sum is exact.
-        9usize.saturating_add(used),
-    ))
+    Ok(Header {
+        element_size,
+        hi_bytes,
+        linearization: linearization_from_byte(lin)?,
+        codec: codec_from_byte(codec_byte)?,
+        total_elements: 0,
+    })
+}
+
+/// Write the stream header: the layout prefix, then the element count.
+pub fn write_header(out: &mut Vec<u8>, h: &Header) {
+    write_layout(out, MAGIC, h);
+    write_varint(out, h.total_elements);
+}
+
+/// Parse the stream header; returns the header and the offset of the first
+/// chunk.
+pub fn read_header(input: &[u8]) -> Result<(Header, usize)> {
+    let mut header = read_layout(input, MAGIC)?;
+    let (total_elements, used) = read_varint(input.get(LAYOUT_LEN..).unwrap_or(&[]))?;
+    header.total_elements = total_elements;
+    // A varint never exceeds 10 bytes, so the sum is exact.
+    Ok((header, LAYOUT_LEN.saturating_add(used)))
 }
 
 /// LEB128 varint writer (shared with the codecs crate's framing).

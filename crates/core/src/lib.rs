@@ -69,7 +69,8 @@ pub mod stream;
 
 pub use archive::{ArchiveReader, ArchiveWriter};
 pub use config::{
-    resolve_threads, IndexPolicy, IsobarClassifier, IsobarConfig, Linearization, PrimacyConfig,
+    parse_flag, resolve_threads, IndexPolicy, IsobarClassifier, IsobarConfig, Linearization,
+    PrimacyConfig,
 };
 pub use error::{PrimacyError, Result};
 pub use pipeline::{DecodeScratch, PrimacyCompressor};

@@ -6,9 +6,9 @@ use crate::format::{self, Header, Reader};
 use crate::freq::FreqTable;
 use crate::idmap::IdMap;
 use crate::isobar;
-use crate::linearize::{to_columns, to_rows, to_rows_into};
+use crate::linearize::{to_columns, to_rows_into};
 use crate::par;
-use crate::split::{join_hi_lo, join_hi_lo_into, split_hi_lo};
+use crate::split::{join_hi_lo_into, split_hi_lo};
 use crate::stats::{
     CompressionStats, StageTimings, STAGE_DEFLATE, STAGE_FREQ, STAGE_IDMAP, STAGE_ISOBAR,
     STAGE_LINEARIZE, STAGE_SPLIT,
@@ -97,14 +97,7 @@ impl PrimacyCompressor {
                 "stream is not a whole number of doubles",
             ));
         }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(c);
-                f64::from_le_bytes(a)
-            })
-            .collect())
+        Ok(f64s_from_le(&bytes))
     }
 
     /// Compress raw element bytes (length must be a multiple of
@@ -196,16 +189,8 @@ impl PrimacyCompressor {
             ));
         }
         let mut out = Vec::with_capacity(input.len() / 2 + 64);
-        format::write_header(
-            &mut out,
-            &Header {
-                element_size: self.config.element_size,
-                hi_bytes: self.config.hi_bytes,
-                linearization: self.config.linearization,
-                codec: self.config.codec,
-                total_elements: (input.len() / self.config.element_size) as u64,
-            },
-        );
+        let total_elements = (input.len() / self.config.element_size) as u64;
+        format::write_header(&mut out, &Header::new(&self.config, total_elements));
         Ok(out)
     }
 
@@ -341,8 +326,11 @@ impl PrimacyCompressor {
             .saturating_mul(header.element_size as u64)
             .min(64 * 1024 * 1024) as usize;
         let mut out = Vec::with_capacity(claimed);
-        let mut prev_map: Option<IdMap> = None;
         let mut reader = Reader::new(input, pos, body_end);
+        // One scratch and one plaintext buffer for the whole stream; the map
+        // a chunk leaves in the scratch is the one its successor may reuse.
+        let mut scratch = DecodeScratch::new();
+        let mut chunk = Vec::new();
         let mut decoded_elements = 0u64;
         let mut timings = StageTimings::default();
         let mut chunks = 0usize;
@@ -350,12 +338,14 @@ impl PrimacyCompressor {
             if reader.remaining() == 0 {
                 return Err(PrimacyError::Format("stream ends before all elements"));
             }
-            let (chunk, map) = decompress_chunk_timed(
+            decompress_chunk_into(
                 &mut reader,
                 &header,
                 codec.as_ref(),
-                prev_map.take(),
+                chunks > 0,
+                &mut scratch,
                 &mut timings,
+                &mut chunk,
             )?;
             let n = (chunk.len() / header.element_size) as u64;
             let after = decoded_elements
@@ -367,7 +357,6 @@ impl PrimacyCompressor {
             out.extend_from_slice(&chunk);
             decoded_elements = after;
             chunks += 1;
-            prev_map = Some(map);
         }
         if reader.remaining() != 0 {
             return Err(PrimacyError::Format("trailing bytes after final chunk"));
@@ -396,21 +385,34 @@ impl PrimacyCompressor {
     }
 }
 
+/// Little-endian doubles from whole 8-byte elements of `bytes`.
+pub(crate) fn f64s_from_le(bytes: &[u8]) -> Vec<f64> {
+    bytes
+        .chunks_exact(8)
+        .map(|c| {
+            let mut a = [0u8; 8];
+            a.copy_from_slice(c);
+            f64::from_le_bytes(a)
+        })
+        .collect()
+}
+
 pub(crate) struct ChunkInfo {
     pub(crate) own_index: bool,
     pub(crate) alpha2: f64,
     pub(crate) timings: StageTimings,
 }
 
-/// Reusable working memory for the allocation-free chunk decode path
-/// ([`decompress_chunk_into`]). Holds the backend codec's decode state plus
-/// every intermediate matrix the inverse pipeline materializes; a warm
-/// scratch makes steady-state decodes allocation-free (the counting-allocator
-/// test in `crates/core/tests/read_alloc_count.rs` enforces this).
+/// Reusable working memory of the chunk decoder ([`decompress_chunk_into`]).
+/// Holds the backend codec's decode state, the index in effect, and every
+/// intermediate matrix the inverse pipeline materializes; a warm scratch
+/// makes steady-state decodes allocation-free (the counting-allocator test
+/// in `crates/core/tests/read_alloc_count.rs` enforces this).
 pub struct DecodeScratch {
     /// Backend codec decode state (deflate Huffman tables etc.).
     pub(crate) codec: CodecScratch,
-    /// Reloaded per chunk in O(k) without touching the full domain table.
+    /// The index in effect: reloaded in O(k) from each chunk that carries
+    /// its own, without touching the full domain table.
     pub(crate) map: IdMap,
     /// Decompressed hi matrix in stream (possibly column) order.
     pub(crate) hi_lin: Vec<u8>,
@@ -442,15 +444,21 @@ impl Default for DecodeScratch {
     }
 }
 
-/// [`decompress_chunk`] into a caller-owned buffer, reusing all intermediate
-/// storage from `scratch`. Requires a self-contained chunk (the archive
-/// always writes own-index chunks); a chunk that reuses its predecessor's
-/// index fails with the same error the streaming path reports when the
-/// predecessor is missing.
+/// Decode one chunk section from `reader` into `out` (cleared first,
+/// capacity kept), reusing all intermediate storage from `scratch` and adding
+/// each stage's wall time to `timings`. The one parser of the section layout,
+/// for both containers.
+///
+/// A chunk without its own index decodes through the map the previous chunk
+/// left in `scratch` only if `may_reuse_index` is set; otherwise it fails as
+/// reusing a missing index. The stream sets it for every chunk after its
+/// first. The archive never does, so an archive chunk cannot borrow the index
+/// of whichever chunk the scratch decoded before.
 pub(crate) fn decompress_chunk_into(
     reader: &mut Reader<'_>,
     header: &Header,
     codec: &dyn Codec,
+    may_reuse_index: bool,
     scratch: &mut DecodeScratch,
     timings: &mut StageTimings,
     out: &mut Vec<u8>,
@@ -461,16 +469,17 @@ pub(crate) fn decompress_chunk_into(
         return Err(PrimacyError::Format("empty chunk section"));
     }
     let flags = reader.byte()?;
-    if flags & format::FLAG_OWN_INDEX == 0 {
+    if flags & format::FLAG_OWN_INDEX != 0 {
+        let k = reader.varint()? as usize;
+        if k > 1 << (8 * header.hi_bytes) {
+            return Err(PrimacyError::Format("index larger than sequence domain"));
+        }
+        // k <= 65536 and hi_bytes <= 2, so this product cannot overflow.
+        let bytes = reader.bytes(k * header.hi_bytes)?;
+        scratch.map.reload(bytes, k, header.hi_bytes)?;
+    } else if !may_reuse_index {
         return Err(PrimacyError::Format("chunk reuses a missing index"));
     }
-    let k = reader.varint()? as usize;
-    if k > 1 << (8 * header.hi_bytes) {
-        return Err(PrimacyError::Format("index larger than sequence domain"));
-    }
-    // k <= 65536 and hi_bytes <= 2, so this product cannot overflow.
-    let bytes = reader.bytes(k * header.hi_bytes)?;
-    scratch.map.reload(bytes, k, header.hi_bytes)?;
     let hi_len = reader.varint()? as usize;
     let hi_comp = reader.bytes(hi_len)?;
     let mask = reader.u16_le()?;
@@ -542,92 +551,6 @@ pub(crate) fn decompress_chunk_into(
     trace::counter("chunk.decompress", 1);
     trace::counter("decompress.bytes_out", out.len() as u64);
     Ok(())
-}
-
-/// Decode one chunk section from `reader` with per-stage wall-clock
-/// accounting. `prev_map` supplies the index when the chunk reuses its
-/// predecessor's; returns the decoded bytes and the index in effect (to
-/// thread into the next chunk). The seekable archive decodes its
-/// (always self-contained) chunks through [`decompress_chunk_into`] instead.
-pub(crate) fn decompress_chunk_timed(
-    reader: &mut Reader<'_>,
-    header: &Header,
-    codec: &dyn Codec,
-    prev_map: Option<IdMap>,
-    timings: &mut StageTimings,
-) -> Result<(Vec<u8>, IdMap)> {
-    let lo_cols = header.element_size - header.hi_bytes;
-    let n = reader.varint()? as usize;
-    if n == 0 {
-        return Err(PrimacyError::Format("empty chunk section"));
-    }
-    let flags = reader.byte()?;
-    let map = if flags & format::FLAG_OWN_INDEX != 0 {
-        let k = reader.varint()? as usize;
-        if k > 1 << (8 * header.hi_bytes) {
-            return Err(PrimacyError::Format("index larger than sequence domain"));
-        }
-        // k <= 65536 and hi_bytes <= 2, so this product cannot overflow.
-        let bytes = reader.bytes(k * header.hi_bytes)?;
-        IdMap::deserialize(bytes, k, header.hi_bytes)?
-    } else {
-        prev_map.ok_or(PrimacyError::Format("chunk reuses a missing index"))?
-    };
-    let hi_len = reader.varint()? as usize;
-    let hi_comp = reader.bytes(hi_len)?;
-    let mask = reader.u16_le()?;
-    if usize::from(mask.count_ones() as u16) > lo_cols || (mask >> lo_cols) != 0 {
-        return Err(PrimacyError::Format("isobar mask wider than matrix"));
-    }
-    let lo_len = reader.varint()? as usize;
-    let lo_comp = reader.bytes(lo_len)?;
-    // Exact after the mask-width guard above; saturation documents the bound.
-    let incompressible_cols = lo_cols.saturating_sub(mask.count_ones() as usize);
-    // `n` comes straight from an attacker-controllable varint; every product
-    // involving it must be checked or an over-claim wraps into a panic.
-    let raw_len = n
-        .checked_mul(incompressible_cols)
-        .ok_or(PrimacyError::Truncated)?;
-    let incompressible = reader.bytes(raw_len)?;
-
-    // Reverse the hi pipeline.
-    let t = Instant::now();
-    let hi_lin = codec.decompress(hi_comp)?;
-    stage(&mut timings.codec, STAGE_DEFLATE, t);
-    if n.checked_mul(header.hi_bytes) != Some(hi_lin.len()) {
-        return Err(PrimacyError::Format("hi section has wrong size"));
-    }
-    let t = Instant::now();
-    let mut hi = match header.linearization {
-        Linearization::Row => hi_lin,
-        Linearization::Column => to_rows(&hi_lin, n, header.hi_bytes),
-    };
-    stage(&mut timings.linearization, STAGE_LINEARIZE, t);
-    let t = Instant::now();
-    map.decode_hi(&mut hi)?;
-    stage(&mut timings.id_mapping, STAGE_IDMAP, t);
-
-    // Reverse the lo pipeline.
-    let t = Instant::now();
-    let compressible = if lo_len == 0 {
-        Vec::new()
-    } else {
-        codec.decompress(lo_comp)?
-    };
-    stage(&mut timings.codec, STAGE_DEFLATE, t);
-    if n.checked_mul(mask.count_ones() as usize) != Some(compressible.len()) {
-        return Err(PrimacyError::Format("lo section has wrong size"));
-    }
-    let t = Instant::now();
-    let lo = isobar::unpartition(&compressible, incompressible, n, lo_cols, mask);
-    stage(&mut timings.isobar, STAGE_ISOBAR, t);
-
-    let t = Instant::now();
-    let chunk = join_hi_lo(&hi, &lo, header.element_size, header.hi_bytes)?;
-    stage(&mut timings.split, STAGE_SPLIT, t);
-    trace::counter("chunk.decompress", 1);
-    trace::counter("decompress.bytes_out", chunk.len() as u64);
-    Ok((chunk, map))
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@
 //! corrupted response or any caught panic.
 
 use primacy_bench::Report;
+use primacy_core::parse_flag;
 use primacy_datagen::{DatasetId, Rng};
 use primacy_serve::protocol::{Op, Request, ServeCodec, Status};
 use primacy_serve::{MetricsSnapshot, ServeClient, ServeConfig, Server};
@@ -104,13 +105,6 @@ impl ConnStats {
         self.bytes_out += other.bytes_out;
         self.latencies_us.extend(other.latencies_us);
     }
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 fn parse_config(args: &[String]) -> Result<LoadConfig, String> {

@@ -11,16 +11,10 @@
 //! prints the metrics table — which is how the test suite and CI use it;
 //! with the default of 0 it serves until the process is killed.
 
+use primacy_core::parse_flag;
 use primacy_serve::{ServeConfig, Server};
 use std::process::ExitCode;
 use std::time::Duration;
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
