@@ -40,6 +40,7 @@ lint() {
     # analyzer has a 10s whole-workspace runtime budget so the gate stays
     # cheap enough to run on every push.
     run cargo build --release --offline -p primacy-lint
+    run dep_edges
     local lint_t0=$SECONDS
     run ./target/release/primacy-lint . --baseline lint-baseline.json
     local lint_dt=$((SECONDS - lint_t0))
@@ -48,6 +49,26 @@ lint() {
         echo "==> primacy-lint blew its 10s runtime budget (${lint_dt}s)" >&2
         exit 1
     fi
+}
+
+# Dependency-edge gate: primacy-lint reads its baseline through
+# primacy-trace's JSON codec and needs no other crate, and neither the CLI
+# nor the server may pull in the bench harness.
+dep_edges() {
+    local tree extra pkg
+    tree=$(cargo tree --offline -e normal -p primacy-lint --prefix none)
+    extra=$(awk '$1 != "primacy-lint" && $1 != "primacy-trace" {print $1}' <<<"$tree" | sort -u)
+    if [[ -n "$extra" ]]; then
+        echo "==> primacy-lint depends on more than primacy-trace:" $extra >&2
+        return 1
+    fi
+    for pkg in primacy-cli primacy-serve; do
+        tree=$(cargo tree --offline -e normal -p "$pkg" --prefix none)
+        if awk '$1 == "primacy-bench" {found = 1} END {exit !found}' <<<"$tree"; then
+            echo "==> $pkg depends on primacy-bench" >&2
+            return 1
+        fi
+    done
 }
 
 build_test() {

@@ -85,7 +85,7 @@ fn main() {
         let (pcr, pctp, pdtp, timings) = measure_primacy(&primacy, &bytes);
         let (zlcr, _, _) = measure_codec(zlib.as_ref(), &perm_bytes);
         let (plcr, _, _, _) = measure_primacy(&primacy, &perm_bytes);
-        report.push_stages(&format!("table3/{}", id.name()), &timings);
+        report.push_stages(&format!("table3/{}", id.name()), timings.by_stage());
 
         let row = Row {
             name: id.name(),
@@ -105,11 +105,14 @@ fn main() {
             ("zlib_lin_cr", row.zlib_lin_cr, p.zlib_lin_cr),
             ("primacy_lin_cr", row.primacy_lin_cr, p.primacy_lin_cr),
         ] {
-            report.push_comparison(&Comparison {
-                key: format!("table3/{}/{metric}", row.name),
-                paper,
-                measured,
-            });
+            report.push_record(
+                Comparison {
+                    key: format!("table3/{}/{metric}", row.name),
+                    paper,
+                    measured,
+                }
+                .to_value(),
+            );
         }
         println!(
             "{:<14} | {:>7.2}({:>6.2}) {:>7.2}({:>6.2}) | {:>7.2}({:>6.2}) {:>7.2}({:>6.2}) | {}({:>7.1}) {}({:>7.1}) | {}({:>7.1}) {}({:>7.1})",

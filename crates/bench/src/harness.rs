@@ -13,6 +13,7 @@
 //! * `PRIMACY_BENCH_SAMPLES` — timed iterations per benchmark (default 10).
 //! * `PRIMACY_BENCH_WARMUP` — warmup iterations (default 2).
 
+use primacy_trace::fmt_duration;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -131,19 +132,6 @@ fn filter_allows(group: &str, id: &str) -> bool {
             .any(|f| group.contains(f.as_str()) || id.contains(f.as_str()))
 }
 
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.3} s", ns as f64 / 1e9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,13 +158,5 @@ mod tests {
             samples: 1,
         };
         assert!((stats.mbps(1_000_000) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_nanos(12)), "12 ns");
-        assert_eq!(fmt_duration(Duration::from_micros(12)), "12.00 µs");
-        assert_eq!(fmt_duration(Duration::from_millis(12)), "12.00 ms");
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.000 s");
     }
 }

@@ -5,10 +5,13 @@
 //! values so EXPERIMENTS.md can be filled in by running them.
 
 pub mod harness;
-pub mod json;
+
+// The JSON codec and report writer live in `primacy-trace`; this re-export
+// keeps `primacy_bench::json` and `primacy_bench::Report` working for the
+// bench binaries and the `benchmark/` package.
+pub use primacy_trace::json::{self, Report};
 
 use json::Value;
-use primacy_core::StageTimings;
 use primacy_datagen::DatasetId;
 
 /// Number of doubles per dataset used by the bench binaries. 2²¹ elements =
@@ -63,82 +66,6 @@ impl Comparison {
     }
 }
 
-/// Machine-readable results of one bench binary.
-///
-/// Every binary under `src/bin/` records its headline numbers here next to
-/// the human-readable table it prints; when the `PRIMACY_BENCH_JSON`
-/// environment variable is set, [`Report::finish`] writes the collected
-/// records to that path (or to stdout for `-`) as a JSON document built by
-/// [`json`]. `tests/bench_smoke.rs` round-trips this output through the
-/// parser.
-#[derive(Debug)]
-pub struct Report {
-    experiment: String,
-    records: Vec<Value>,
-}
-
-impl Report {
-    /// Start a report for the named experiment (conventionally the binary
-    /// name, e.g. `table3_compression`).
-    pub fn new(experiment: &str) -> Self {
-        Self {
-            experiment: experiment.to_string(),
-            records: Vec::new(),
-        }
-    }
-
-    /// Record one scalar metric.
-    pub fn push(&mut self, key: impl Into<String>, value: f64) {
-        self.records.push(Value::object([
-            ("key", Value::from(key.into())),
-            ("value", Value::from(value)),
-        ]));
-    }
-
-    /// Record a measured-vs-paper comparison.
-    pub fn push_comparison(&mut self, c: &Comparison) {
-        self.records.push(c.to_value());
-    }
-
-    /// Record a per-stage timing breakdown: one `{prefix}/stage/{name}`
-    /// record per pipeline stage (seconds), in canonical stage order, plus
-    /// `{prefix}/stage_total_s`. This is how `BENCH_*.json` gains a
-    /// per-stage trajectory across runs.
-    pub fn push_stages(&mut self, prefix: &str, timings: &StageTimings) {
-        for (stage, d) in timings.by_stage() {
-            self.push(format!("{prefix}/stage/{stage}"), d.as_secs_f64());
-        }
-        self.push(
-            format!("{prefix}/stage_total_s"),
-            timings.total().as_secs_f64(),
-        );
-    }
-
-    /// The full report as a JSON value.
-    pub fn to_value(&self) -> Value {
-        Value::object([
-            ("experiment", Value::from(self.experiment.as_str())),
-            ("records", Value::Array(self.records.clone())),
-        ])
-    }
-
-    /// Emit the report if `PRIMACY_BENCH_JSON` requests it. Call last in
-    /// `main`; panics on an unwritable path so CI fails loudly.
-    pub fn finish(self) {
-        let Ok(dest) = std::env::var("PRIMACY_BENCH_JSON") else {
-            return;
-        };
-        let text = self.to_value().to_json();
-        if dest == "-" {
-            println!("{text}");
-        } else {
-            std::fs::write(&dest, text)
-                // lint: allow(panic) -- documented contract: CI must fail loudly on an unwritable report path
-                .unwrap_or_else(|e| panic!("writing bench JSON to {dest}: {e}"));
-        }
-    }
-}
-
 /// Format a MB/s number compactly.
 pub fn mbps(x: f64) -> String {
     format!("{x:8.2}")
@@ -189,6 +116,7 @@ mod tests {
 
     #[test]
     fn push_stages_emits_canonical_records() {
+        use primacy_core::StageTimings;
         use std::time::Duration;
         let mut r = Report::new("test");
         let timings = StageTimings {
@@ -196,7 +124,7 @@ mod tests {
             codec: Duration::from_millis(2),
             ..Default::default()
         };
-        r.push_stages("table3/demo", &timings);
+        r.push_stages("table3/demo", timings.by_stage());
         let v = r.to_value();
         let records = v.get("records").and_then(Value::as_array).unwrap();
         // Six stages + the total.

@@ -10,7 +10,6 @@
 //! primacy list                               # list synthetic datasets
 //! ```
 
-use primacy_bench::json::Value;
 use primacy_codecs::CodecKind;
 use primacy_core::analysis;
 use primacy_core::format::ARCHIVE_MAGIC;
@@ -20,6 +19,7 @@ use primacy_core::{
 };
 use primacy_datagen::DatasetId;
 use primacy_trace as trace;
+use primacy_trace::json::Value;
 use primacy_trace::Collector;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};

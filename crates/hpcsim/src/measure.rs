@@ -8,6 +8,7 @@
 use crate::model::ModelInputs;
 use primacy_codecs::Codec;
 use primacy_core::{PrimacyCompressor, PrimacyConfig, PrimacyError, Result};
+use primacy_trace::json::{self, Value};
 use std::time::Instant;
 
 /// Machine-measured rates and ratios for one (data, method) pair.
@@ -160,19 +161,42 @@ pub fn measure_vanilla(codec: &dyn Codec, bytes: &[u8]) -> Result<(f64, f64, f64
 /// (`results/BENCH_throughput.json`), so the model runs on *this machine's*
 /// measured rates rather than re-measuring (or worse, guessing Jaguar's).
 ///
-/// The report is flat: `{"experiment": ..., "records": [{"key": "...",
-/// "value": N}, ...]}`. The loader is a minimal scanner keyed to that
-/// machine-written shape — keys are plain path strings with no escapes —
-/// which keeps this crate free of a JSON dependency it otherwise never needs.
+/// The report is the shape [`primacy_trace::json::Report`] writes:
+/// `{"experiment": ..., "records": [{"key": "...", "value": N}, ...]}`,
+/// read through the same codec.
 #[derive(Debug, Clone, Default)]
 pub struct Calibration {
     records: Vec<(String, f64)>,
 }
 
 impl Calibration {
-    /// Parse a benchmark report document.
+    /// Parse a benchmark report document. Every record must carry a string
+    /// `key` and a finite numeric `value` of its own.
     pub fn from_json(text: &str) -> Result<Self> {
-        let records = scan_records(text)?;
+        let doc = json::parse(text)
+            .map_err(|_| PrimacyError::Format("calibration report is not valid JSON"))?;
+        let records = doc
+            .get("records")
+            .and_then(Value::as_array)
+            .ok_or(PrimacyError::Format("calibration report has no records"))?
+            .iter()
+            .map(|record| {
+                let key = record
+                    .get("key")
+                    .and_then(Value::as_str)
+                    .ok_or(PrimacyError::Format(
+                        "calibration record key is not a string",
+                    ))?;
+                let value = record
+                    .get("value")
+                    .and_then(Value::as_f64)
+                    .ok_or(PrimacyError::Format("calibration record has no value"))?;
+                if !value.is_finite() {
+                    return Err(PrimacyError::Format("calibration value is not finite"));
+                }
+                Ok((key.to_string(), value))
+            })
+            .collect::<Result<Vec<_>>>()?;
         if records.is_empty() {
             return Err(PrimacyError::Format("calibration report has no records"));
         }
@@ -214,44 +238,6 @@ impl Calibration {
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.records.iter().map(|(k, _)| k.as_str())
     }
-}
-
-/// Extract every `"key": "...", "value": N` pair from a bench report.
-fn scan_records(text: &str) -> Result<Vec<(String, f64)>> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"key\"") {
-        rest = &rest[pos + 5..];
-        let open = rest.find('"').ok_or(PrimacyError::Format(
-            "calibration record key is not a string",
-        ))?;
-        rest = &rest[open + 1..];
-        let close = rest.find('"').ok_or(PrimacyError::Format(
-            "calibration record key is unterminated",
-        ))?;
-        let key = &rest[..close];
-        rest = &rest[close + 1..];
-        let vpos = rest
-            .find("\"value\"")
-            .ok_or(PrimacyError::Format("calibration record has no value"))?;
-        rest = &rest[vpos + 7..];
-        let colon = rest
-            .find(':')
-            .ok_or(PrimacyError::Format("calibration value has no separator"))?;
-        rest = rest[colon + 1..].trim_start();
-        let end = rest
-            .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-            .unwrap_or(rest.len());
-        let value: f64 = rest[..end]
-            .parse()
-            .map_err(|_| PrimacyError::Format("calibration value is not a number"))?;
-        if !value.is_finite() {
-            return Err(PrimacyError::Format("calibration value is not finite"));
-        }
-        out.push((key.to_string(), value));
-        rest = &rest[end..];
-    }
-    Ok(out)
 }
 
 /// Predicted wall-clock for one archive write, bulk-synchronous vs
@@ -383,6 +369,20 @@ mod tests {
         assert!(Calibration::from_json("{}").is_err());
         assert!(Calibration::from_json(r#"{"records":[{"key":"a"}]}"#).is_err());
         assert!(Calibration::from_json(r#"{"key":"a","value":"x"}"#).is_err());
+    }
+
+    #[test]
+    fn calibration_reads_each_record_by_itself() {
+        // A record without a `value` is an error, never the next record's.
+        let pair = r#"{"records":[{"key":"a","paper":1.5,"measured":2.0},{"key":"b","value":5}]}"#;
+        assert!(Calibration::from_json(pair).is_err());
+        // Keys are JSON strings: escapes decode, quotes do not end them.
+        let cal = Calibration::from_json(r#"{"records":[{"key":"x\"y","value":1}]}"#).unwrap();
+        assert_eq!(cal.get("x\"y"), Some(1.0));
+        assert_eq!(cal.keys().count(), 1);
+        // An out-of-range number parses as inf and must still be refused.
+        assert!(Calibration::from_json(r#"{"key":"a","value":1e999}"#).is_err());
+        assert!(Calibration::from_json(r#"{"records":[{"key":"a","value":1e999}]}"#).is_err());
     }
 
     #[test]

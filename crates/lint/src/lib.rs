@@ -159,7 +159,7 @@ mod tests {
     fn doc_requirement_covers_api_crates_only() {
         assert!(requires_docs("crates/core/src/pipeline.rs"));
         assert!(requires_docs("crates/codecs/src/fpz/mod.rs"));
-        assert!(!requires_docs("crates/bench/src/json.rs"));
+        assert!(!requires_docs("crates/trace/src/json.rs"));
         assert!(!requires_docs("crates/lint/src/rules.rs"));
     }
 }

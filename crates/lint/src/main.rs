@@ -170,10 +170,10 @@ fn main() -> ExitCode {
     }
 }
 
-fn load_baseline(path: &Path) -> Result<primacy_bench::json::Value, String> {
+fn load_baseline(path: &Path) -> Result<primacy_trace::json::Value, String> {
     let text = fs::read_to_string(path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
-    primacy_bench::json::parse(&text)
+    primacy_trace::json::parse(&text)
         .map_err(|e| format!("malformed baseline {}: {e}", path.display()))
 }
 

@@ -1,7 +1,7 @@
 //! Machine-readable diagnostics and the checked-in baseline gate.
 //!
 //! `primacy-lint --json` emits the full diagnostic set as JSON (via the
-//! in-tree `primacy_bench::json`, per the zero-dependency policy), and
+//! in-tree `primacy_trace::json`, per the zero-dependency policy), and
 //! `--baseline lint-baseline.json` compares the current run against a
 //! checked-in snapshot: the gate fails when any `(file, rule)` pair has
 //! *more* findings, suppressed findings, or allow directives than the
@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use primacy_bench::json::Value;
+use primacy_trace::json::Value;
 
 use crate::rules::FileReport;
 
@@ -310,6 +310,6 @@ mod tests {
         assert_eq!(doc.get("files_scanned").unwrap().as_f64(), Some(2.0));
         // The document round-trips through the in-tree JSON parser.
         let text = doc.to_json();
-        assert_eq!(primacy_bench::json::parse(&text).unwrap(), doc);
+        assert_eq!(primacy_trace::json::parse(&text).unwrap(), doc);
     }
 }

@@ -21,17 +21,17 @@
 //!
 //! Latency percentiles (p50/p99/p999 in µs), sustained MB/s, and every
 //! failure counter land in `results/BENCH_serve.json` when CI sets
-//! `PRIMACY_BENCH_JSON` (see `primacy_bench::Report`).
+//! `PRIMACY_BENCH_JSON` (see `primacy_trace::json::Report`).
 //!
 //! `--smoke` is the CI gate: an in-process server, 100 good connections
 //! plus slow and malformed companions, exiting non-zero on any dropped or
 //! corrupted response or any caught panic.
 
-use primacy_bench::Report;
 use primacy_core::parse_flag;
 use primacy_datagen::{DatasetId, Rng};
 use primacy_serve::protocol::{Op, Request, ServeCodec, Status};
 use primacy_serve::{MetricsSnapshot, ServeClient, ServeConfig, Server};
+use primacy_trace::json::Report;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -1,18 +1,22 @@
 //! Per-tenant accounting and server health counters.
 //!
-//! Two complementary sinks record every request:
+//! [`Metrics`] is the server's one counter registry: exact per-tenant
+//! byte/request/error counts plus health counters, owned by one
+//! [`Server`](crate::Server) and snapshottable at any time through
+//! [`Server::metrics`](crate::Server::metrics). `primacy-trace` records only
+//! what this registry lacks: the `serve.request` counter and the log2
+//! queue-depth, queue-wait and latency histograms.
 //!
-//! * this module's own registry — exact per-tenant byte/request/error
-//!   counts plus process-wide health counters, snapshottable at any time
-//!   (tests and the `primacy-serve` binary read it on shutdown);
-//! * `primacy-trace` — aggregate counters (`serve.*`) and the log2
-//!   latency/queue-depth histograms, merged per worker thread, for the same
-//!   `--trace` tooling the pipeline uses. Trace names must be `'static`,
-//!   so the *per-tenant* breakdown lives here, not there.
+//! The registry is per server, not trace's process-global sink: one
+//! process can run several servers (the integration tests do), each
+//! answering for its own exact counts, and trace names must be `'static`,
+//! so a per-tenant breakdown could not live there anyway.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
+
+use crate::lock_recover;
 
 /// Byte/request/error accounting for one tenant.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -55,10 +59,6 @@ pub struct Metrics {
     pub conn_panics: AtomicU64,
     /// Panics caught around codec execution in workers. Must stay 0.
     pub worker_panics: AtomicU64,
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Add `delta` with relaxed ordering (all metrics are plain tallies).

@@ -13,7 +13,9 @@
 //! then observes the closed flag).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
+
+use crate::lock_recover;
 
 /// Outcome of a rejected [`Bounded::try_push`], returning ownership of the
 /// item so the caller can respond to it.
@@ -35,12 +37,6 @@ pub struct Bounded<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     cap: usize,
-}
-
-/// Recover the guard from a poisoned lock: queue state is a `VecDeque` plus
-/// a flag, both valid after any panic unwound past a holder.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<T> Bounded<T> {

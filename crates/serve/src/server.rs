@@ -25,7 +25,7 @@ use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,6 +34,7 @@ use primacy_core::config::resolve_threads;
 use primacy_core::{PrimacyCompressor, PrimacyConfig, PrimacyError};
 use primacy_trace as trace;
 
+use crate::lock_recover;
 use crate::metrics::{bump, Metrics, MetricsSnapshot};
 use crate::protocol::{
     self, max_response_body, FrameError, Op, ProtoError, Request, Response, ServeCodec, Status,
@@ -76,10 +77,6 @@ impl Default for ServeConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME,
         }
     }
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Write half of one client connection, shared between the connection
@@ -184,7 +181,8 @@ impl Server {
         self.local_addr
     }
 
-    /// Point-in-time metrics.
+    /// Point-in-time copy of the server's counters, readable while it
+    /// runs. [`Metrics`] is the server's only counter registry.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
     }
@@ -254,7 +252,6 @@ fn acceptor_loop(
             return;
         }
         bump(&shared.metrics.accepted_conns, 1);
-        trace::counter("serve.conn", 1);
         let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
         let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
         let _ = stream.set_nodelay(true);
@@ -296,7 +293,8 @@ fn connection_entry(shared: &Arc<Shared>, stream: TcpStream, conn: &Arc<Conn>) {
     }
     lock_recover(&shared.conns).remove(&conn.id);
     bump(&shared.metrics.closed_conns, 1);
-    // Merge this thread's trace records (connection counters) promptly.
+    // Merge this thread's trace records (request counter, queue-depth
+    // histogram) promptly.
     trace::flush_thread();
 }
 
@@ -327,7 +325,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, conn: &Arc<Con
                     // the typed error, then close: a peer that cannot form
                     // a header will not form the next frame either.
                     bump(&shared.metrics.proto_errors, 1);
-                    trace::counter("serve.proto_error", 1);
                     conn.send(
                         &shared.metrics,
                         &error_response(Status::BadRequest, None, &e.to_string()),
@@ -340,7 +337,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, conn: &Arc<Con
                 // answer once, then close — nothing after this byte
                 // position can be trusted.
                 bump(&shared.metrics.proto_errors, 1);
-                trace::counter("serve.proto_error", 1);
                 let status = match e {
                     ProtoError::FrameTooLarge { .. } => Status::TooLarge,
                     _ => Status::BadRequest,
@@ -358,7 +354,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, conn: &Arc<Con
                 ) {
                     // Read timeout: the slow-loris guard fired.
                     bump(&shared.metrics.slow_closes, 1);
-                    trace::counter("serve.slow_close", 1);
                 }
                 return;
             }
@@ -387,7 +382,6 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, request: Request) -> bool {
     shared
         .metrics
         .tenant_request(request.tenant, request.payload.len() as u64);
-    trace::counter("serve.bytes_in", request.payload.len() as u64);
 
     let now = Instant::now();
     let deadline = now
@@ -406,7 +400,6 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, request: Request) -> bool {
         }
         Err(PushError::Full(job)) => {
             bump(&shared.metrics.busy, 1);
-            trace::counter("serve.busy", 1);
             shared.metrics.tenant_done(job.request.tenant, false, 0);
             job.conn.send(
                 &shared.metrics,
@@ -415,7 +408,6 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, request: Request) -> bool {
         }
         Err(PushError::Closed(job)) => {
             bump(&shared.metrics.shedding, 1);
-            trace::counter("serve.shed", 1);
             shared.metrics.tenant_done(job.request.tenant, false, 0);
             job.conn.send(
                 &shared.metrics,
@@ -494,7 +486,6 @@ fn worker_loop(shared: &Arc<Shared>) {
         if Instant::now() >= job.deadline {
             // Cancelled while queued: answer without doing the work.
             bump(&shared.metrics.timeouts, 1);
-            trace::counter("serve.timeout", 1);
             shared.metrics.tenant_done(tenant, false, 0);
             job.conn.send(
                 &shared.metrics,
@@ -523,7 +514,6 @@ fn worker_loop(shared: &Arc<Shared>) {
 
         match outcome {
             Ok(bytes) if bytes.len() > response_cap => {
-                trace::counter("serve.err", 1);
                 shared.metrics.tenant_done(tenant, false, 0);
                 job.conn.send(
                     &shared.metrics,
@@ -535,8 +525,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 );
             }
             Ok(bytes) => {
-                trace::counter("serve.ok", 1);
-                trace::counter("serve.bytes_out", bytes.len() as u64);
                 shared.metrics.tenant_done(tenant, true, bytes.len() as u64);
                 job.conn.send(
                     &shared.metrics,
@@ -551,7 +539,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                 );
             }
             Err((status, detail)) => {
-                trace::counter("serve.err", 1);
                 shared.metrics.tenant_done(tenant, false, 0);
                 job.conn.send(
                     &shared.metrics,

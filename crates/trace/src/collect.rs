@@ -57,7 +57,9 @@ impl TraceSink for Collector {
     }
 }
 
-fn fmt_duration(d: Duration) -> String {
+/// Format a duration compactly with a unit picked by magnitude
+/// (`12 ns`, `12.00 µs`, `12.00 ms`, `2.000 s`).
+pub fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
         format!("{ns} ns")
@@ -209,6 +211,14 @@ mod tests {
         let fi = table.find("freq").expect("freq");
         let di = table.find("deflate").expect("deflate");
         assert!(si < fi && fi < di);
+    }
+
+    #[test]
+    fn duration_formatting() {
+        assert_eq!(fmt_duration(Duration::from_nanos(12)), "12 ns");
+        assert_eq!(fmt_duration(Duration::from_micros(12)), "12.00 µs");
+        assert_eq!(fmt_duration(Duration::from_millis(12)), "12.00 ms");
+        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.000 s");
     }
 
     #[test]

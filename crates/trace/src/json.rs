@@ -1,15 +1,18 @@
-//! Minimal hand-rolled JSON: an emitter for the bench result records and a
-//! recursive-descent parser for round-trip checks.
+//! The workspace's one JSON codec: a minimal hand-rolled emitter, a
+//! recursive-descent parser, and [`Report`], the writer behind every
+//! `PRIMACY_BENCH_JSON` document.
 //!
 //! The workspace's zero-external-dependency policy (DESIGN.md) rules out
-//! `serde`/`serde_json`; the bench binaries only ever need to emit flat
-//! records of strings and finite numbers and read them back, so this small
-//! subset is deliberate: no comments, no trailing commas, numbers are `f64`
-//! (integer precision above 2⁵³ is not preserved), and non-finite floats
-//! serialize as `null` (JSON has no NaN/Infinity).
+//! `serde`/`serde_json`. Its JSON users (bench reports, the model's
+//! calibration loader, the CLI's `--trace` JSON line and the lint baseline)
+//! only ever need small documents of strings and finite numbers, so this
+//! small subset is deliberate: no comments, no trailing commas, numbers are
+//! `f64` (integer precision above 2⁵³ is not preserved), and non-finite
+//! floats serialize as `null` (JSON has no NaN/Infinity).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// A parsed or to-be-emitted JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,6 +171,83 @@ fn write_string(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// Machine-readable results of one bench or smoke binary.
+///
+/// A binary records its headline numbers here next to the human-readable
+/// table it prints; when the `PRIMACY_BENCH_JSON` environment variable is
+/// set, [`Report::finish`] writes the collected records to that path (or to
+/// stdout for `-`) as one `{"experiment": ..., "records": [...]}` document.
+#[derive(Debug)]
+pub struct Report {
+    experiment: String,
+    records: Vec<Value>,
+}
+
+impl Report {
+    /// Start a report for the named experiment (conventionally the binary
+    /// name, e.g. `table3_compression`).
+    pub fn new(experiment: &str) -> Self {
+        Self {
+            experiment: experiment.to_string(),
+            records: Vec::new(),
+        }
+    }
+
+    /// Record one scalar metric as `{"key": ..., "value": ...}`.
+    pub fn push(&mut self, key: impl Into<String>, value: f64) {
+        self.push_record(Value::object([
+            ("key", Value::from(key.into())),
+            ("value", Value::from(value)),
+        ]));
+    }
+
+    /// Record an arbitrary record object.
+    pub fn push_record(&mut self, record: Value) {
+        self.records.push(record);
+    }
+
+    /// Record a per-stage timing breakdown: one `{prefix}/stage/{name}`
+    /// record per `(name, time)` pair (seconds), in the order given, plus
+    /// their sum as `{prefix}/stage_total_s`. Pipeline callers pass
+    /// `StageTimings::by_stage()`.
+    pub fn push_stages<'a>(
+        &mut self,
+        prefix: &str,
+        stages: impl IntoIterator<Item = (&'a str, Duration)>,
+    ) {
+        let mut total = Duration::ZERO;
+        for (stage, d) in stages {
+            total += d;
+            self.push(format!("{prefix}/stage/{stage}"), d.as_secs_f64());
+        }
+        self.push(format!("{prefix}/stage_total_s"), total.as_secs_f64());
+    }
+
+    /// The full report as a JSON value.
+    pub fn to_value(&self) -> Value {
+        Value::object([
+            ("experiment", Value::from(self.experiment.as_str())),
+            ("records", Value::Array(self.records.clone())),
+        ])
+    }
+
+    /// Emit the report if `PRIMACY_BENCH_JSON` requests it. Call last in
+    /// `main`; panics on an unwritable path so CI fails loudly.
+    pub fn finish(self) {
+        let Ok(dest) = std::env::var("PRIMACY_BENCH_JSON") else {
+            return;
+        };
+        let text = self.to_value().to_json();
+        if dest == "-" {
+            println!("{text}");
+        } else {
+            std::fs::write(&dest, text)
+                // lint: allow(panic) -- documented contract: CI must fail loudly on an unwritable report path
+                .unwrap_or_else(|e| panic!("writing bench JSON to {dest}: {e}"));
+        }
+    }
 }
 
 /// Parse error with a byte offset into the input.

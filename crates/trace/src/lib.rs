@@ -37,12 +37,20 @@
 //! Installation is once per process, exactly like the `log` crate:
 //! [`install`] a `&'static` sink (e.g. a `static` [`Collector`]) before the
 //! traced work runs. Without an installed sink everything above is inert.
+//!
+//! The crate also owns the workspace's one JSON codec, [`json`]: the
+//! `Value` emitter and parser, and the [`json::Report`] writer behind every
+//! `PRIMACY_BENCH_JSON` document. It lives here because this std-only crate
+//! sits at the bottom of the dependency graph, so the model's calibration
+//! loader, the CLI, the server's load generator and `primacy-lint` can all
+//! read and write reports without depending on the bench crate.
 
 mod agg;
 mod collect;
+pub mod json;
 
 pub use agg::{Aggregate, Histogram, SpanStat, HISTOGRAM_BUCKETS};
-pub use collect::{render_table, Collector};
+pub use collect::{fmt_duration, render_table, Collector};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
