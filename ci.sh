@@ -134,20 +134,32 @@ archive_io() {
 
 serve() {
     # Serving smoke gate: an in-process `primacy-serve` instance under
-    # `primacy-loadgen --smoke` — 100 concurrent connections of mixed
-    # compress/decompress traffic plus slow-loris and malformed companions.
-    # The gate fails on any dropped, corrupted, or error response and on any
-    # caught panic; latency percentiles and sustained MB/s land in
-    # results/BENCH_serve.json for artifact upload. Budget: the smoke run
-    # itself must finish inside 60s even on a 1-core runner (measured ~2s).
+    # `primacy-loadgen --smoke`, twice. The closed loop runs 100 concurrent
+    # connections of compress/decompress round trips plus slow-loris and
+    # malformed companions; the open loop (`--rate 200 --connections 32`)
+    # sends seeded bursts of pipelined compress requests, 128 in flight at
+    # most, under the in-process queue depth of 256. Each run fails on any
+    # dropped, corrupted, or error response and on any caught panic, and
+    # writes its latency percentiles and sustained MB/s for artifact upload
+    # (results/BENCH_serve.json, results/BENCH_serve_open.json). Budget:
+    # each run must finish inside 60s even on a 1-core runner (measured
+    # under 1s each).
     run cargo build --release --offline -p primacy-serve
+    serve_smoke results/BENCH_serve.json
+    serve_smoke results/BENCH_serve_open.json --rate 200 --connections 32
+}
+
+# One `primacy-loadgen --smoke` run with extra flags "${@:2}", its report
+# written to $1, held to the 60s budget.
+serve_smoke() {
+    local report=$1
+    shift
     local serve_t0=$SECONDS
-    run env PRIMACY_BENCH_JSON=results/BENCH_serve.json \
-        ./target/release/primacy-loadgen --smoke
+    run env PRIMACY_BENCH_JSON="$report" ./target/release/primacy-loadgen --smoke "$@"
     local serve_dt=$((SECONDS - serve_t0))
-    echo "==> primacy-loadgen --smoke runtime: ${serve_dt}s (budget: <60s)"
+    echo "==> primacy-loadgen --smoke${*:+ $*} runtime: ${serve_dt}s (budget: <60s)"
     if ((serve_dt >= 60)); then
-        echo "==> primacy-loadgen --smoke blew its 60s runtime budget (${serve_dt}s)" >&2
+        echo "==> primacy-loadgen --smoke${*:+ $*} blew its 60s runtime budget (${serve_dt}s)" >&2
         exit 1
     fi
 }

@@ -69,9 +69,10 @@ pub trait Codec: Send + Sync {
     /// Produces bytes identical to [`Codec::compress`]; the only difference
     /// is allocation behavior. Callers on a per-chunk hot path (the pipeline
     /// keeps one [`CodecScratch`] per worker thread) should use this so
-    /// codecs that support scratch reuse (deflate-family) skip their
-    /// dictionary/token-buffer allocations after the first chunk. The default
-    /// implementation ignores `scratch` and defers to `compress`.
+    /// codecs that support scratch reuse skip their per-call set-up after the
+    /// first chunk: deflate-family dictionary and token buffers, FPC
+    /// predictor tables. The default implementation ignores `scratch` and
+    /// defers to `compress`.
     fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>> {
         let _ = scratch;
         self.compress(input)
@@ -85,9 +86,9 @@ pub trait Codec: Send + Sync {
     ///
     /// The decode-side mirror of [`Codec::compress_with`]: output bytes are
     /// identical to [`Codec::decompress`], only allocation behavior differs.
-    /// Codecs with reusable decode state (deflate-family Huffman tables)
-    /// override this so a warm call allocates nothing beyond growing `out`;
-    /// the default defers to `decompress` and copies.
+    /// Codecs with reusable decode state (deflate-family Huffman tables, FPC
+    /// predictor tables) override this so a warm call allocates nothing
+    /// beyond growing `out`; the default defers to `decompress` and copies.
     fn decompress_into(
         &self,
         input: &[u8],
@@ -110,13 +111,16 @@ pub trait Codec: Send + Sync {
     }
 }
 
-/// Reusable per-thread working memory for [`Codec::compress_with`].
+/// Reusable per-thread working memory for [`Codec::compress_with`] and
+/// [`Codec::decompress_into`].
 ///
 /// A plain struct (not a trait object) so call sites can own one without
 /// knowing which codec will run; each codec family picks the field it needs.
-/// Currently only the deflate family carries reusable state — its hash-chain
-/// arrays and token buffer are the dominant per-chunk allocation in the
-/// pipeline (128 KiB of heads plus 4 bytes of chain links per input byte).
+/// Two families carry reusable state: deflate, whose hash-chain arrays and
+/// token buffer are the dominant per-chunk allocation in the pipeline
+/// (384 KiB of heads plus 4 bytes of chain links per input byte), and FPC,
+/// whose two predictor tables (16 MiB at the default size) would otherwise
+/// be allocated and zeroed on every call.
 #[derive(Debug, Default)]
 pub struct CodecScratch {
     /// LZ77 match-finder state for deflate-family codecs (zlib, gzip).
@@ -124,6 +128,9 @@ pub struct CodecScratch {
     /// Inflate-side decode state (Huffman tables, header buffers) for
     /// deflate-family codecs, reused by [`Codec::decompress_into`].
     pub inflate: deflate::InflateScratch,
+    /// FPC's FCM/DFCM predictor tables, all zero between calls and kept up
+    /// to 2^20 slots each (16 MiB for the pair).
+    pub fpc: fpc::FpcScratch,
 }
 
 impl CodecScratch {

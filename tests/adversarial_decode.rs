@@ -10,7 +10,7 @@
 //! and mutation index needed to replay it under a debugger.
 
 use primacy_suite::codecs::deflate::{deflate, inflate, Gzip, Level};
-use primacy_suite::codecs::CodecKind;
+use primacy_suite::codecs::{CodecKind, CodecScratch};
 use primacy_suite::core::{ArchiveReader, ArchiveWriter, PrimacyCompressor, PrimacyConfig};
 use primacy_suite::datagen::{DatasetId, Rng};
 
@@ -67,12 +67,13 @@ fn mutate(rng: &mut Rng, stream: &[u8]) -> Vec<u8> {
 
 /// Run `decode` over `CORPUS` mutations of `stream`; panic (with replay
 /// coordinates) if any decode panics instead of returning a `Result`.
-fn assault(label: &str, stream: &[u8], decode: impl Fn(&[u8])) {
+fn assault(label: &str, stream: &[u8], mut decode: impl FnMut(&[u8])) {
     let mut rng = Rng::seed_from_u64(SEED ^ fnv1a(label));
     for case in 0..CORPUS {
         let bad = mutate(&mut rng, stream);
-        // The decoders take `&[u8]` and the closures capture only immutable
-        // state; a caught panic leaves nothing half-mutated to observe.
+        // The decoders take `&[u8]`; a closure that keeps mutable state (a
+        // reused scratch) is not consulted again after a caught panic, as the
+        // assertion below fails the test first.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(&bad)));
         assert!(
             outcome.is_ok(),
@@ -107,6 +108,35 @@ fn every_codec_survives_the_corpus() {
         assault(&kind.to_string(), &stream, |bytes| {
             let _ = codec.decompress(bytes);
         });
+    }
+}
+
+/// The same mutations decoded through one `CodecScratch` kept for the whole
+/// corpus: after each one, the clean stream must still decode to the
+/// original through that scratch. A decoder that leaves reused state dirty
+/// on an error path (FPC's predictor tables, the deflate family's
+/// `InflateScratch`) fails here though `decompress` alone passes.
+#[test]
+fn every_codec_survives_the_corpus_through_one_scratch() {
+    let data = payload();
+    let mut scratch = CodecScratch::new();
+    for kind in CodecKind::ALL {
+        let codec = kind.build();
+        let stream = codec.compress(&data).unwrap();
+        let mut case = 0;
+        let mut dirty = Vec::new();
+        assault(&kind.to_string(), &stream, |bytes| {
+            let _ = codec.decompress_with(bytes, &mut scratch);
+            if codec.decompress_with(&stream, &mut scratch).as_deref() != Ok(&data[..]) {
+                dirty.push(case);
+            }
+            case += 1;
+        });
+        assert!(
+            dirty.is_empty(),
+            "{kind}: the clean stream failed through the reused scratch after \
+             mutations {dirty:?} (seed {SEED:#018x})"
+        );
     }
 }
 
