@@ -85,16 +85,18 @@ build_test() {
 }
 
 conformance() {
-    # Format-conformance gate, *serialized*: golden vectors, parallel
-    # determinism and the overlapped writer's byte identity with
-    # RUST_TEST_THREADS=1. The build-test stage already runs these suites at
-    # default parallelism; this run only adds the single-threaded schedule,
-    # pinning that thread scheduling never changes container bytes. (Earlier
+    # Format-conformance gate, *serialized*: golden vectors, the deflate
+    # encoder's megabyte-scale known answers, parallel determinism and the
+    # overlapped writer's byte identity with RUST_TEST_THREADS=1. The
+    # build-test stage already runs these suites at default parallelism;
+    # this run only adds the single-threaded schedule, pinning that thread
+    # scheduling never changes container or encoder bytes. (Earlier
     # revisions also re-ran them at default parallelism and re-ran
     # adversarial_decode by name — both were exact duplicates of
     # workspace-test coverage and are deliberately gone.)
     run env RUST_TEST_THREADS=1 cargo test -q --offline \
-        --test golden_format --test parallel_determinism --test archive_overlap
+        --test golden_format --test deflate_known_answers \
+        --test parallel_determinism --test archive_overlap
 }
 
 bench() {

@@ -12,6 +12,11 @@ pub mod harness;
 pub use primacy_trace::json::{self, Report};
 
 use json::Value;
+use primacy_core::freq::FreqTable;
+use primacy_core::idmap::IdMap;
+use primacy_core::linearize::to_columns;
+use primacy_core::split::split_hi_lo;
+use primacy_core::{isobar, Linearization, PrimacyConfig};
 use primacy_datagen::DatasetId;
 
 /// Number of doubles per dataset used by the bench binaries. 2²¹ elements =
@@ -33,6 +38,30 @@ pub fn dataset_bytes(id: DatasetId) -> Vec<u8> {
 /// Generate a dataset at the bench size, as doubles.
 pub fn dataset_values(id: DatasetId) -> Vec<f64> {
     id.generate(dataset_elements())
+}
+
+/// The two streams PRIMACY's pipeline hands its solver for one chunk: the
+/// ID-mapped, linearized hi stream and ISOBAR's compressible lo columns.
+/// Built with the public stage functions, the way the repository benchmark
+/// splits the solver's cost between them. Fails where the stages do: on a
+/// chunk of partial elements, or one whose hi bytes take every value.
+pub fn solver_streams(
+    chunk: &[u8],
+    cfg: &PrimacyConfig,
+) -> primacy_core::Result<(Vec<u8>, Vec<u8>)> {
+    let (es, hb) = (cfg.element_size, cfg.hi_bytes);
+    let n = chunk.len() / es;
+    let (mut hi, lo) = split_hi_lo(chunk, es, hb)?;
+    let freq = FreqTable::from_hi_matrix(&hi, hb);
+    let map = IdMap::from_freq(&freq, hb)?;
+    map.encode_hi(&mut hi)?;
+    let hi = match cfg.linearization {
+        Linearization::Row => hi,
+        Linearization::Column => to_columns(&hi, n, hb),
+    };
+    let report = isobar::analyze(&lo, n, cfg.lo_bytes(), &cfg.isobar);
+    let (compressible, _) = isobar::partition(&lo, n, cfg.lo_bytes(), report.mask);
+    Ok((hi, compressible))
 }
 
 /// One measured-vs-paper record, serializable for EXPERIMENTS.md tooling.

@@ -29,6 +29,13 @@
 //!   repetition (see `Level::params` for the per-level trigger; `Best`
 //!   disables skipping entirely).
 //!
+//! On top of these, the search skips work whose outcome is already decided,
+//! so the tokens are exactly those of the plain search: a 4-byte quick
+//! reject in the chain walk, zlib's lazy search seeded with the pending
+//! match's length (clamped below `nice_length`, see
+//! `EncoderScratch::longest_match`), and one hash computation per parsed
+//! position, shared by its search and its insert.
+//!
 //! All per-input state (hash heads, chain links, the token buffer) lives in a
 //! reusable [`EncoderScratch`] so steady-state encoding performs no heap
 //! allocation per chunk — the pipeline keeps one scratch per worker thread.
@@ -70,9 +77,32 @@ fn hash3(data: &[u8], i: usize) -> usize {
 /// Hash of the four bytes at `i` (caller guarantees `i + 4 <= data.len()`).
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
+    (load_u32(data, i).wrapping_mul(0x9E37_79B1) >> (32 - HASH4_BITS)) as usize
+}
+
+/// The hash3 and hash4 keys of position `i`, computed once per parsed
+/// position and shared by its search and its insert. A key whose bytes run
+/// past the input is never read (both users check the remaining length
+/// first), so it is left 0.
+#[inline]
+fn keys(data: &[u8], i: usize) -> (usize, usize) {
+    let remaining = data.len() - i;
+    let h3 = if remaining >= MIN_MATCH {
+        hash3(data, i)
+    } else {
+        0
+    };
+    let h4 = if remaining >= 4 { hash4(data, i) } else { 0 };
+    (h3, h4)
+}
+
+/// Load four little-endian bytes starting at `i` (caller guarantees
+/// `i + 4 <= data.len()`).
+#[inline]
+fn load_u32(data: &[u8], i: usize) -> u32 {
     let mut a = [0u8; 4];
     a.copy_from_slice(&data[i..i + 4]);
-    (u32::from_le_bytes(a).wrapping_mul(0x9E37_79B1) >> (32 - HASH4_BITS)) as usize
+    u32::from_le_bytes(a)
 }
 
 /// Load eight little-endian bytes starting at `i` (caller guarantees
@@ -177,44 +207,63 @@ impl EncoderScratch {
     /// its hash4 chain.
     #[inline]
     fn insert(&mut self, data: &[u8], i: usize) {
-        if i + MIN_MATCH > data.len() {
+        self.insert_keyed(data.len(), i, keys(data, i));
+    }
+
+    /// [`Self::insert`] for a position of an `n`-byte input whose [`keys`]
+    /// the caller already computed for its search.
+    #[inline]
+    fn insert_keyed(&mut self, n: usize, i: usize, (h3, h4): (usize, usize)) {
+        if i + MIN_MATCH > n {
             return;
         }
-        self.head3[hash3(data, i)] = i as u32;
-        if i + 4 <= data.len() {
-            let h = hash4(data, i);
-            self.prev[i] = self.head4[h];
-            self.head4[h] = i as u32;
+        self.head3[h3] = i as u32;
+        if i + 4 <= n {
+            self.prev[i] = self.head4[h4];
+            self.head4[h4] = i as u32;
         }
     }
 
-    /// Find the longest match for position `i`: one probe of the hash3
-    /// most-recent table (the only source of length-3 matches), then a walk
-    /// of at most `max_chain` hash4-chain candidates. Returns
-    /// `(len, dist, links_walked)` with `len == 0` when nothing of at least
-    /// `MIN_MATCH` was found.
+    /// Find the longest match for position `i`, for a parse that holds a
+    /// pending match of length `prev_len` (0 when none is) and takes it
+    /// unless the result is longer: one probe of the hash3 most-recent table
+    /// (the only source of length-3 matches), then a walk of at most
+    /// `max_chain` hash4-chain candidates. `keys` are position `i`'s
+    /// [`keys`]. Returns `(len, dist, links_walked)`. Whenever an unseeded
+    /// search (`prev_len` 0) would find a match longer than `prev_len`, this
+    /// returns that same match; otherwise `len <= prev_len`, and `len == 0`
+    /// when no candidate beat the seed or none reached `MIN_MATCH`.
     fn longest_match(
         &self,
         data: &[u8],
         i: usize,
-        max_chain: usize,
-        nice_length: usize,
+        (h3, h4): (usize, usize),
+        p: &super::MatchParams,
+        prev_len: usize,
     ) -> (usize, usize, u32) {
         let remaining = data.len() - i;
-        if remaining < MIN_MATCH {
+        let max_len = remaining.min(MAX_MATCH);
+        // No match here can be longer than the pending one: the caller takes
+        // that one whatever the search would find.
+        if remaining < MIN_MATCH || prev_len >= max_len {
             return (0, 0, 0);
         }
-        let max_len = remaining.min(MAX_MATCH);
-        let nice = nice_length.min(max_len);
+        let nice = p.nice_length.min(max_len);
         let window_floor = i.saturating_sub(WINDOW_SIZE);
-        let mut best_len = MIN_MATCH - 1;
+        // zlib's seeded search: a candidate counts only if it beats the
+        // pending match. The seed stays below `nice`, so the walk stops at
+        // the same candidate as an unseeded one (the first of length >=
+        // `nice`); seeding at a pending length >= `nice` would walk past a
+        // candidate that stops the unseeded search and could return a
+        // different, later match.
+        let mut best_len = prev_len.max(MIN_MATCH - 1).min(nice - 1);
         let mut best_dist = 0usize;
         let mut links = 0u32;
 
         // hash3 probe: the single most recent 3-byte-hash occurrence. The
         // hash4 chains below can only yield 4-byte-prefix candidates, so this
         // probe is what keeps length-3 matches representable.
-        let c3 = self.head3[hash3(data, i)];
+        let c3 = self.head3[h3];
         if c3 != NO_POS {
             let c = c3 as usize;
             // `c >= i` would be a self-reference (possible when the caller
@@ -222,7 +271,7 @@ impl EncoderScratch {
             if c < i && c >= window_floor {
                 links += 1;
                 let l = match_len(data, c, i, max_len);
-                if l >= MIN_MATCH {
+                if l > best_len {
                     best_len = l;
                     best_dist = i - c;
                     if l >= nice {
@@ -233,11 +282,11 @@ impl EncoderScratch {
         }
 
         if remaining >= 4 {
-            let mut cand = self.head4[hash4(data, i)];
+            let mut cand = self.head4[h4];
             // Every visited candidate spends search budget — including
             // self-referential entries — so a pathological chain cannot
             // exceed the configured budget.
-            let mut chain_left = max_chain;
+            let mut chain_left = p.max_chain;
             while cand != NO_POS && chain_left > 0 {
                 chain_left -= 1;
                 links += 1;
@@ -249,11 +298,17 @@ impl EncoderScratch {
                 if c < window_floor {
                     break;
                 }
-                // Quick reject: the byte that would extend the best match
-                // must agree before we pay for a full comparison. In-bounds
-                // because best_len < max_len here (a best_len == max_len
-                // match already hit `nice` and returned/broke out).
-                if data[c + best_len] == data[i + best_len] {
+                // Quick reject: a longer match must agree on the bytes that
+                // end at `best_len`, so compare the four of them (one byte
+                // while `best_len < 3`) before paying for a full comparison.
+                // In-bounds because best_len < max_len here (a best_len ==
+                // max_len match already hit `nice` and returned/broke out).
+                let may_beat = if best_len >= 3 {
+                    load_u32(data, c + best_len - 3) == load_u32(data, i + best_len - 3)
+                } else {
+                    data[c + best_len] == data[i + best_len]
+                };
+                if may_beat {
                     let l = match_len(data, c, i, max_len);
                     if l > best_len {
                         best_len = l;
@@ -266,7 +321,7 @@ impl EncoderScratch {
                 cand = self.prev[c];
             }
         }
-        if best_len >= MIN_MATCH {
+        if best_dist > 0 {
             (best_len, best_dist, links)
         } else {
             (0, 0, links)
@@ -319,11 +374,12 @@ fn tokenize_greedy(data: &[u8], scratch: &mut EncoderScratch, p: &super::MatchPa
     let mut i = 0;
     let mut lit_run = 0usize;
     while i < n {
-        let (mlen, mdist, links) = scratch.longest_match(data, i, p.max_chain, p.nice_length);
+        let keys = keys(data, i);
+        let (mlen, mdist, links) = scratch.longest_match(data, i, keys, p, 0);
         if links > 0 {
             primacy_trace::observe("deflate.chain_len", u64::from(links));
         }
-        scratch.insert(data, i);
+        scratch.insert_keyed(n, i, keys);
         if mlen >= MIN_MATCH {
             scratch.tokens.push(Token::Match {
                 len: mlen as u16,
@@ -350,14 +406,18 @@ fn tokenize_lazy(data: &[u8], scratch: &mut EncoderScratch, p: &super::MatchPara
     // A match found at position i-1 that we deferred by one byte.
     let mut pending: Option<(usize, usize)> = None;
     while i < n {
-        let (mlen, mdist, links) = scratch.longest_match(data, i, p.max_chain, p.nice_length);
+        let keys = keys(data, i);
+        let plen = pending.map_or(0, |(plen, _)| plen);
+        let (mlen, mdist, links) = scratch.longest_match(data, i, keys, p, plen);
         if links > 0 {
             primacy_trace::observe("deflate.chain_len", u64::from(links));
         }
-        scratch.insert(data, i);
+        scratch.insert_keyed(n, i, keys);
         match pending {
             Some((plen, pdist)) if mlen <= plen => {
-                // The deferred match is at least as good: take it.
+                // The deferred match is at least as good: take it. Where
+                // nothing longer exists the search returns `mlen <= plen`,
+                // usually 0.
                 scratch.tokens.push(Token::Match {
                     len: plen as u16,
                     dist: pdist as u16,
@@ -663,7 +723,13 @@ mod tests {
         for i in 0..2048 {
             scratch.insert(&data, i);
         }
-        let (_, _, links) = scratch.longest_match(&data, 1000, 8, MAX_MATCH);
+        let p = crate::deflate::MatchParams {
+            max_chain: 8,
+            nice_length: MAX_MATCH,
+            lazy: true,
+            skip_trigger: usize::MAX,
+        };
+        let (_, _, links) = scratch.longest_match(&data, 1000, keys(&data, 1000), &p, 0);
         assert!(links <= 8, "walked {links} links with a budget of 8");
     }
 }

@@ -41,8 +41,14 @@ impl Zlib {
         let mut out = Vec::with_capacity(input.len() + input.len() / 250 + 70);
         // CMF: CM=8 (deflate), CINFO=7 (32K window).
         let cmf: u8 = 0x78;
-        // FLG: FLEVEL=2 (default), FDICT=0, FCHECK makes (CMF<<8|FLG) % 31 == 0.
-        let mut flg: u8 = 2 << 6;
+        // FLG: FLEVEL names the level (RFC 1950 §2.2: 0 fastest, 2 default,
+        // 3 maximum), FDICT=0, FCHECK makes (CMF<<8|FLG) % 31 == 0.
+        let flevel: u8 = match self.level {
+            Level::Fast => 0,
+            Level::Default => 2,
+            Level::Best => 3,
+        };
+        let mut flg: u8 = flevel << 6;
         let rem = ((u16::from(cmf) << 8) | u16::from(flg)) % 31;
         if rem != 0 {
             flg += (31 - rem) as u8;
@@ -144,6 +150,11 @@ mod tests {
         let out = Zlib::default().compress_bytes(b"x");
         assert_eq!(out[0], 0x78);
         assert_eq!(out[1], 0x9c);
+        // FLEVEL follows the level, as zlib's own `-1` and `-9` write it.
+        for (level, flg) in [(Level::Fast, 0x01), (Level::Best, 0xda)] {
+            let out = Zlib::with_level(level).compress_bytes(b"x");
+            assert_eq!(out[..2], [0x78, flg], "{level:?}");
+        }
     }
 
     #[test]
