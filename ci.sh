@@ -41,6 +41,7 @@ lint() {
     # cheap enough to run on every push.
     run cargo build --release --offline -p primacy-lint
     run dep_edges
+    run serve_off_trace
     local lint_t0=$SECONDS
     run ./target/release/primacy-lint . --baseline lint-baseline.json
     local lint_dt=$((SECONDS - lint_t0))
@@ -69,6 +70,19 @@ dep_edges() {
             return 1
         fi
     done
+}
+
+# Serve records into its per-server `Metrics` registry only: a call into
+# the process-global trace facade from `crates/serve/src` fails the gate.
+serve_off_trace() {
+    local calls
+    calls=$(grep -rnE '\b(primacy_)?trace::(span|span_duration|counter|observe|observe_many|thread_scope|flush_thread)\b' \
+        crates/serve/src || true)
+    if [[ -n "$calls" ]]; then
+        echo "==> crates/serve/src calls the trace facade:" >&2
+        echo "$calls" >&2
+        return 1
+    fi
 }
 
 build_test() {

@@ -44,15 +44,11 @@ use primacy_bench::{mbps, rule, Report};
 use primacy_core::{resolve_threads, ArchiveReader, ArchiveWriter, PrimacyConfig};
 use primacy_datagen::{DatasetId, Rng};
 use primacy_hpcsim::{measure_primacy, predict_archive_write, Calibration};
-use primacy_trace::{self as trace, Collector};
+use primacy_trace as trace;
 use std::fs::File;
 use std::io::{BufWriter, Read as _, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-/// The trace sink: the overlap counter (`archive.hidden_pct`) is recorded by
-/// `finish()` and read back from here between runs.
-static TRACE: Collector = Collector::new();
 
 /// Modeled staging-link bandwidth, bytes/s. The paper's XK6 testbed shares
 /// each I/O node's link across 8 compute nodes; 150 MB/s is a plausible
@@ -166,16 +162,18 @@ fn timed_read(path: &PathBuf, threads: usize) -> (Vec<u8>, f64) {
     (plain, t0.elapsed().as_secs_f64())
 }
 
-/// Pull one counter out of the collector and reset it for the next run.
+/// Pull one counter out of the trace collector and reset it for the next
+/// run. The overlap counter (`archive.hidden_pct`) is recorded by
+/// `finish()` and read back through here.
 fn take_counter(name: &str) -> u64 {
-    let v = TRACE.snapshot().counter(name);
-    TRACE.reset();
+    let v = trace::snapshot().counter(name);
+    trace::reset();
     v
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    trace::install(&TRACE).expect("install trace collector");
+    trace::enable();
     let elements = if smoke {
         1 << 16 // several chunks at the smoke chunk size, still sub-second
     } else {
@@ -244,7 +242,7 @@ fn main() {
             bytes,
             None,
         );
-        TRACE.reset();
+        trace::reset();
         let golden = std::fs::read(&path).expect("read warmup archive");
         // Model the ratio the archive actually achieved (container bytes per
         // input byte), not the codec-only ratio.
@@ -272,7 +270,7 @@ fn main() {
             let bulk_secs = (0..reps)
                 .map(|_| {
                     let s = timed_write(make(staged), &cfg, bytes, None);
-                    TRACE.reset();
+                    trace::reset();
                     s
                 })
                 .fold(f64::MAX, f64::min);

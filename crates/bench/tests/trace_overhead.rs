@@ -5,19 +5,18 @@
 //! wall-clock absolutes, which are meaningless on shared CI machines):
 //!
 //! 1. **Disabled record sites cost one atomic load.** A tight loop over
-//!    `span_duration`/`counter`/`observe` with no sink installed must
+//!    `span_duration`/`counter`/`observe` before tracing is enabled must
 //!    average well under a microsecond per record — orders of magnitude
 //!    below any real stage, so instrumented hot paths are unaffected.
 //! 2. **Enabled tracing stays within noise of the disabled baseline.**
-//!    Median compress time with a live [`primacy_trace::Collector`] must be
+//!    Median compress time with tracing enabled and collecting must be
 //!    within the disabled median plus a 25% margin plus several MADs. The
 //!    margin is deliberately generous: CI runs this unoptimized on a
 //!    single-core container where scheduler noise dwarfs the per-chunk cost
 //!    of ~20 buffered records.
 //!
-//! Ordering matters: `primacy_trace::install` is once-per-process (like
-//! `log::set_logger`), so everything is one `#[test]` — baseline first,
-//! enabled run last.
+//! Ordering matters: `primacy_trace::enable` has no off switch, so
+//! everything is one `#[test]` — baseline first, enabled run last.
 
 use primacy_bench::harness;
 use primacy_core::{PrimacyCompressor, PrimacyConfig};
@@ -32,7 +31,7 @@ fn tracing_overhead_is_within_noise() {
     std::env::set_var("PRIMACY_BENCH_SAMPLES", "7");
 
     // -- Claim 1: disabled record sites are near-free. ---------------------
-    assert!(!trace::enabled(), "no sink installed yet");
+    assert!(!trace::enabled(), "tracing not enabled yet");
     const RECORDS: u32 = 100_000;
     let disabled_records = harness::measure(|| {
         for i in 0..RECORDS {
@@ -59,14 +58,13 @@ fn tracing_overhead_is_within_noise() {
 
     let baseline = harness::measure(|| compressor.compress_bytes(&data).expect("compress"));
 
-    static COLLECTOR: trace::Collector = trace::Collector::new();
-    trace::install(&COLLECTOR).expect("first install");
+    trace::enable();
     assert!(trace::enabled());
     let traced = harness::measure(|| compressor.compress_bytes(&data).expect("compress"));
     trace::flush_thread();
 
     // Sanity: tracing was actually live during the traced run.
-    let agg = COLLECTOR.snapshot();
+    let agg = trace::snapshot();
     assert!(agg.counter("chunk.compress") > 0, "collector saw no chunks");
     assert!(
         agg.span_total("deflate").as_nanos() > 0,

@@ -20,7 +20,6 @@ use primacy_core::{
 use primacy_datagen::DatasetId;
 use primacy_trace as trace;
 use primacy_trace::json::Value;
-use primacy_trace::Collector;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -44,25 +43,20 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The `--trace` sink: one process-wide collector the pipeline's per-thread
-/// aggregates merge into.
-static TRACE_COLLECTOR: Collector = Collector::new();
-
-/// Install the trace collector when `--trace` was passed. Returns whether
-/// tracing is on.
-fn setup_trace(args: &[String]) -> Result<bool, String> {
-    if !args.iter().any(|a| a == "--trace") {
-        return Ok(false);
+/// Enable tracing when `--trace` was passed. Returns whether tracing is on.
+fn setup_trace(args: &[String]) -> bool {
+    let on = args.iter().any(|a| a == "--trace");
+    if on {
+        trace::enable();
     }
-    trace::install(&TRACE_COLLECTOR).map_err(|e| e.to_string())?;
-    Ok(true)
+    on
 }
 
 /// Print the `--trace` report: the human stage table, then the same
 /// breakdown as one line of JSON (stage seconds, counters, wall seconds).
 fn report_trace(wall: Duration) {
     trace::flush_thread();
-    let agg = TRACE_COLLECTOR.snapshot();
+    let agg = trace::snapshot();
     print!("{}", trace::render_table(&agg, &STAGES, wall));
     let stages = Value::object(
         STAGES
@@ -89,14 +83,10 @@ fn build_config(args: &[String]) -> Result<PrimacyConfig, String> {
         .position(|a| a == "--codec")
         .and_then(|i| args.get(i + 1))
     {
-        cfg.codec = match codec.as_str() {
-            "zlib" => CodecKind::Zlib,
-            "lzr" => CodecKind::Lzr,
-            "bwt" => CodecKind::Bwt,
-            "fpc" => CodecKind::Fpc,
-            "fpz" => CodecKind::Fpz,
-            other => return Err(format!("unknown codec '{other}'")),
-        };
+        cfg.codec = CodecKind::ALL
+            .into_iter()
+            .find(|k| k.to_string() == *codec)
+            .ok_or_else(|| format!("unknown codec '{codec}'"))?;
     }
     if let Some(kb) = parse_flag::<usize>(args, "--chunk-kb") {
         cfg.chunk_bytes = kb * 1024;
@@ -133,7 +123,7 @@ fn run() -> Result<(), String> {
                 ));
             }
             let compressor = PrimacyCompressor::try_new(cfg).map_err(|e| e.to_string())?;
-            let tracing = setup_trace(&args)?;
+            let tracing = setup_trace(&args);
             let t0 = Instant::now();
             let (out, stats) = if let Some(threads) = parse_flag::<usize>(&args, "--threads") {
                 let out = compressor
@@ -178,7 +168,7 @@ fn run() -> Result<(), String> {
             let output = args.get(2).ok_or("missing output path")?;
             let data = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
             let compressor = PrimacyCompressor::new(PrimacyConfig::default());
-            let tracing = setup_trace(&args)?;
+            let tracing = setup_trace(&args);
             let t0 = Instant::now();
             let out = compressor
                 .decompress_bytes(&data)
@@ -293,7 +283,7 @@ fn run() -> Result<(), String> {
             // `--threads N` (0 = auto) selects the overlapped writer, the way
             // `compress --threads` selects the parallel compressor.
             let threads = parse_flag::<usize>(&args, "--threads").map(resolve_threads);
-            let tracing = setup_trace(&args)?;
+            let tracing = setup_trace(&args);
             let t0 = Instant::now();
             let mut w = match threads {
                 Some(t) => ArchiveWriter::with_overlap(Vec::new(), cfg, t),
@@ -379,7 +369,7 @@ fn run() -> Result<(), String> {
         "verify" => {
             let input = args.get(1).ok_or("missing input path")?;
             let data = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
-            let tracing = setup_trace(&args)?;
+            let tracing = setup_trace(&args);
             let t0 = Instant::now();
             let (bytes, kind) = if data.starts_with(ARCHIVE_MAGIC) {
                 let r = ArchiveReader::open(&data).map_err(|e| e.to_string())?;
@@ -502,7 +492,7 @@ mod tests {
 
     #[test]
     fn setup_trace_is_off_without_flag() {
-        assert_eq!(setup_trace(&args(&["compress", "in", "out"])), Ok(false));
+        assert!(!setup_trace(&args(&["compress", "in", "out"])));
         assert!(!trace::enabled());
     }
 }

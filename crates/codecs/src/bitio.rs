@@ -221,13 +221,6 @@ impl<'a> BitReader<'a> {
     pub fn remaining_bytes(&self) -> usize {
         self.input.len() - self.pos + (self.bitcount / 8) as usize
     }
-
-    /// Byte offset of the first byte not yet loaded into the bit buffer,
-    /// after aligning: the position where byte-oriented parsing may resume.
-    pub fn byte_position(&mut self) -> usize {
-        self.align_byte();
-        self.pos - (self.bitcount / 8) as usize
-    }
 }
 
 /// Reverse the low `len` bits of `code` (used to convert MSB-first Huffman

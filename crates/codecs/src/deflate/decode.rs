@@ -321,22 +321,18 @@ impl InflateScratch {
     }
 }
 
-/// Decompress a raw DEFLATE stream into a fresh buffer.
-pub fn inflate(input: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(input.len().saturating_mul(3));
-    inflate_into(input, &mut out)?;
-    Ok(out)
-}
-
-/// Decompress a raw DEFLATE stream, appending to `out`.
-pub fn inflate_into(input: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    inflate_with(input, &mut InflateScratch::default(), out)
-}
-
-/// [`inflate_into`] with caller-owned decode state: identical output, but
-/// the Huffman tables and header buffers in `scratch` are reused, so a warm
-/// call performs no allocations beyond growing `out`.
+/// Decompress a raw DEFLATE stream, appending to `out`, with caller-owned
+/// decode state: the Huffman tables and header buffers in `scratch` are
+/// reused, so a warm call performs no allocations beyond growing `out`.
+///
+/// Every DEFLATE decode in the workspace (raw [`super::inflate`], zlib and
+/// gzip) runs through here, so this is where the `deflate.decode` span and
+/// the `deflate.decode_bytes_{in,out}` counters are recorded. The span is
+/// named apart from the pipeline's "deflate" stage span so the CLI stage
+/// table never counts codec time twice.
 pub fn inflate_with(input: &[u8], scratch: &mut InflateScratch, out: &mut Vec<u8>) -> Result<()> {
+    let _span = primacy_trace::span("deflate.decode");
+    let before = out.len();
     let mut r = BitReader::new(input);
     loop {
         let bfinal = r.read_bits(1)?;
@@ -359,9 +355,12 @@ pub fn inflate_with(input: &[u8], scratch: &mut InflateScratch, out: &mut Vec<u8
             _ => return Err(CodecError::Corrupt("reserved block type 11")),
         }
         if bfinal == 1 {
-            return Ok(());
+            break;
         }
     }
+    primacy_trace::counter("deflate.decode_bytes_in", input.len() as u64);
+    primacy_trace::counter("deflate.decode_bytes_out", (out.len() - before) as u64);
+    Ok(())
 }
 
 fn inflate_stored(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<()> {
@@ -684,7 +683,7 @@ fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{deflate, Level};
+    use super::super::{deflate, inflate, Level};
     use super::*;
     use crate::huffman::canonical_codes;
 

@@ -473,7 +473,7 @@ pub fn emit_blocks_into(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{decode::inflate, deflate, Level};
+    use super::super::{deflate, inflate, Level};
     use super::*;
 
     fn rle_code_lengths(lengths: &[u8]) -> Vec<(u8, u8)> {

@@ -84,6 +84,19 @@ impl Gzip {
 
     /// Decompress a gzip member, verifying CRC-32 and ISIZE.
     pub fn decompress_bytes(&self, input: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(input.len().saturating_mul(3));
+        self.decompress_bytes_into(input, &mut decode::InflateScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
+    /// Decompress a gzip member into `out` (cleared first, capacity kept),
+    /// reusing `scratch` for the inflater's Huffman tables.
+    fn decompress_bytes_into(
+        &self,
+        input: &[u8],
+        scratch: &mut decode::InflateScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         if input.len() < 18 {
             return Err(CodecError::Truncated);
         }
@@ -124,14 +137,15 @@ impl Gzip {
             return Err(CodecError::Truncated);
         }
         let body = &input[pos..input.len() - 8];
-        let out = decode::inflate(body)?;
+        out.clear();
+        decode::inflate_with(body, scratch, out)?;
         let stored_crc = u32::from_le_bytes(
             crate::read_array(input, input.len() - 8).ok_or(CodecError::Truncated)?,
         );
         let stored_isize = u32::from_le_bytes(
             crate::read_array(input, input.len() - 4).ok_or(CodecError::Truncated)?,
         );
-        let actual = crc32(&out);
+        let actual = crc32(out);
         if stored_crc != actual {
             return Err(CodecError::ChecksumMismatch {
                 expected: stored_crc,
@@ -144,7 +158,7 @@ impl Gzip {
                 actual: out.len(),
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Extract the FNAME field of a gzip member, if present.
@@ -188,6 +202,15 @@ impl Codec for Gzip {
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
         self.decompress_bytes(input)
+    }
+
+    fn decompress_into(
+        &self,
+        input: &[u8],
+        scratch: &mut CodecScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        self.decompress_bytes_into(input, &mut scratch.inflate, out)
     }
 }
 

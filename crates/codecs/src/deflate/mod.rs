@@ -178,9 +178,9 @@ pub fn deflate_with(input: &[u8], level: Level, scratch: &mut EncoderScratch) ->
 /// DEFLATE body lands directly in the container buffer instead of being
 /// produced in a temporary and copied across.
 pub fn deflate_into(input: &[u8], level: Level, scratch: &mut EncoderScratch, out: &mut Vec<u8>) {
-    // Spans are named `deflate.encode`/`deflate.decode` — distinct from the
-    // pipeline-level "deflate" stage span so the CLI stage table never
-    // counts codec time twice.
+    // Spans are named `deflate.encode`/`deflate.decode` (the latter in
+    // `decode::inflate_with`) — distinct from the pipeline-level "deflate"
+    // stage span so the CLI stage table never counts codec time twice.
     let _span = primacy_trace::span("deflate.encode");
     {
         let _tok_span = primacy_trace::span("deflate.tokenize");
@@ -197,12 +197,13 @@ pub fn deflate_into(input: &[u8], level: Level, scratch: &mut EncoderScratch, ou
     primacy_trace::counter("deflate.encode_bytes_out", (out.len() - before) as u64);
 }
 
-/// Decompress a raw DEFLATE stream.
+/// Decompress a raw DEFLATE stream into a fresh buffer.
+///
+/// One-shot convenience over [`decode::inflate_with`]; allocates a fresh
+/// [`InflateScratch`] per call.
 pub fn inflate(input: &[u8]) -> Result<Vec<u8>> {
-    let _span = primacy_trace::span("deflate.decode");
-    let out = decode::inflate(input)?;
-    primacy_trace::counter("deflate.decode_bytes_in", input.len() as u64);
-    primacy_trace::counter("deflate.decode_bytes_out", out.len() as u64);
+    let mut out = Vec::with_capacity(input.len().saturating_mul(3));
+    decode::inflate_with(input, &mut InflateScratch::new(), &mut out)?;
     Ok(out)
 }
 

@@ -2,15 +2,16 @@
 //! scratch has been warmed by one call, the LZ77 tokenizer must perform
 //! **zero** heap allocations for subsequent chunks of the same or smaller
 //! size — the hash-chain arrays and token buffer are reused, not
-//! reallocated — and so must FPC's `decompress_into`, while FPC's
-//! `compress_with` allocates exactly once, for the buffer it returns.
+//! reallocated — and so must FPC's, zlib's and gzip's `decompress_into`,
+//! while FPC's `compress_with` allocates exactly once, for the buffer it
+//! returns.
 //!
 //! Verified with a counting global allocator. This file contains exactly one
 //! test so no sibling test thread can allocate inside the measured window
 //! (integration-test binaries run tests in-process threads).
 
 use primacy_codecs::deflate::lz77::{tokenize_into, EncoderScratch};
-use primacy_codecs::deflate::Level;
+use primacy_codecs::deflate::{Gzip, Level, Zlib};
 use primacy_codecs::fpc::Fpc;
 use primacy_codecs::{Codec, CodecScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -77,6 +78,7 @@ fn chunk(len: usize, seed: u64) -> Vec<u8> {
 fn warm_scratch_calls_allocate_only_their_output() {
     tokenize_allocates_nothing();
     fpc_allocates_only_its_output();
+    deflate_containers_decode_without_allocating();
 }
 
 fn tokenize_allocates_nothing() {
@@ -150,5 +152,39 @@ fn fpc_allocates_only_its_output() {
             "warm fpc decompress_into hit the allocator {delta} time(s)"
         );
         assert_eq!(&out, input);
+    }
+}
+
+/// Zlib and gzip decode through the caller's `InflateScratch`: once a pass
+/// over the streams has grown the scratch's tables and `out`, a second pass
+/// touches the allocator not at all.
+fn deflate_containers_decode_without_allocating() {
+    let inputs: Vec<Vec<u8>> = (0..4)
+        .map(|i| chunk(16 * 1024 - i * 512, 0xDEC + i as u64))
+        .collect();
+    let codecs: [Box<dyn Codec>; 2] = [Box::new(Zlib::default()), Box::new(Gzip::default())];
+    for codec in &codecs {
+        let streams: Vec<Vec<u8>> = inputs.iter().map(|p| codec.compress(p).unwrap()).collect();
+        let mut scratch = CodecScratch::new();
+        let mut out = Vec::new();
+        for stream in &streams {
+            codec
+                .decompress_into(stream, &mut scratch, &mut out)
+                .unwrap();
+        }
+        for (input, stream) in inputs.iter().zip(&streams) {
+            let before = allocs();
+            codec
+                .decompress_into(stream, &mut scratch, &mut out)
+                .unwrap();
+            let delta = allocs() - before;
+            assert_eq!(
+                delta,
+                0,
+                "warm {} decompress_into hit the allocator {delta} time(s)",
+                codec.name()
+            );
+            assert_eq!(&out, input);
+        }
     }
 }

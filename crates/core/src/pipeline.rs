@@ -334,11 +334,12 @@ impl PrimacyCompressor {
         let mut decoded_elements = 0u64;
         let mut timings = StageTimings::default();
         let mut chunks = 0usize;
+        let mut own_index_chunks = 0usize;
         while decoded_elements < header.total_elements {
             if reader.remaining() == 0 {
                 return Err(PrimacyError::Format("stream ends before all elements"));
             }
-            decompress_chunk_into(
+            let own_index = decompress_chunk_into(
                 &mut reader,
                 &header,
                 codec.as_ref(),
@@ -357,6 +358,9 @@ impl PrimacyCompressor {
             out.extend_from_slice(&chunk);
             decoded_elements = after;
             chunks += 1;
+            if own_index {
+                own_index_chunks += 1;
+            }
         }
         if reader.remaining() != 0 {
             return Err(PrimacyError::Format("trailing bytes after final chunk"));
@@ -377,7 +381,7 @@ impl PrimacyCompressor {
             original_bytes: out.len(),
             compressed_bytes: input.len(),
             chunks,
-            own_index_chunks: chunks, // not tracked on decode; upper bound
+            own_index_chunks,
             isobar_compressible_fraction: 0.0,
             timings,
         };
@@ -447,7 +451,7 @@ impl Default for DecodeScratch {
 /// Decode one chunk section from `reader` into `out` (cleared first,
 /// capacity kept), reusing all intermediate storage from `scratch` and adding
 /// each stage's wall time to `timings`. The one parser of the section layout,
-/// for both containers.
+/// for both containers. Returns whether the chunk carried its own index.
 ///
 /// A chunk without its own index decodes through the map the previous chunk
 /// left in `scratch` only if `may_reuse_index` is set; otherwise it fails as
@@ -462,14 +466,14 @@ pub(crate) fn decompress_chunk_into(
     scratch: &mut DecodeScratch,
     timings: &mut StageTimings,
     out: &mut Vec<u8>,
-) -> Result<()> {
+) -> Result<bool> {
     let lo_cols = header.element_size - header.hi_bytes;
     let n = reader.varint()? as usize;
     if n == 0 {
         return Err(PrimacyError::Format("empty chunk section"));
     }
-    let flags = reader.byte()?;
-    if flags & format::FLAG_OWN_INDEX != 0 {
+    let own_index = reader.byte()? & format::FLAG_OWN_INDEX != 0;
+    if own_index {
         let k = reader.varint()? as usize;
         if k > 1 << (8 * header.hi_bytes) {
             return Err(PrimacyError::Format("index larger than sequence domain"));
@@ -550,7 +554,7 @@ pub(crate) fn decompress_chunk_into(
     stage(&mut timings.split, STAGE_SPLIT, t);
     trace::counter("chunk.decompress", 1);
     trace::counter("decompress.bytes_out", out.len() as u64);
-    Ok(())
+    Ok(own_index)
 }
 
 #[cfg(test)]
@@ -693,6 +697,10 @@ mod tests {
             stats.chunks
         );
         assert_eq!(c.decompress_f64(&comp).unwrap(), values);
+        // The decode side counts the chunks that carried their own index.
+        let (_, decoded) = c.decompress_bytes_with_stats(&comp).unwrap();
+        assert_eq!(decoded.chunks, stats.chunks);
+        assert_eq!(decoded.own_index_chunks, stats.own_index_chunks);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! corrupted response or any caught panic. With `--rate` it gates the open
 //! loop instead, which sends one op per request rather than two.
 
-use primacy_codecs::{CodecKind, CodecScratch};
+use primacy_codecs::CodecScratch;
 use primacy_core::{parse_flag, PrimacyCompressor, PrimacyConfig};
 use primacy_datagen::{DatasetId, Rng};
 use primacy_serve::protocol::{Op, Request, ServeCodec, Status};
@@ -402,22 +402,14 @@ impl LocalDecoder {
     /// Does `compressed`, decompressed with the codec `selector` names,
     /// equal `expected`?
     fn matches(&mut self, selector: ServeCodec, compressed: &[u8], expected: &[u8]) -> bool {
-        let kind = match selector {
-            ServeCodec::Zlib => CodecKind::Zlib,
-            ServeCodec::Lzr => CodecKind::Lzr,
-            ServeCodec::Bwt => CodecKind::Bwt,
-            ServeCodec::Fpc => CodecKind::Fpc,
-            ServeCodec::Fpz => CodecKind::Fpz,
-            ServeCodec::Primacy => {
-                return self
-                    .primacy
-                    .decompress_bytes(compressed)
-                    .is_ok_and(|back| back == expected)
-            }
+        let back = match selector.kind() {
+            Some(kind) => kind
+                .build()
+                .decompress_with(compressed, &mut self.scratch)
+                .ok(),
+            None => self.primacy.decompress_bytes(compressed).ok(),
         };
-        kind.build()
-            .decompress_with(compressed, &mut self.scratch)
-            .is_ok_and(|back| back == expected)
+        back.is_some_and(|back| back == expected)
     }
 }
 

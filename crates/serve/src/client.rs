@@ -70,11 +70,6 @@ impl ServeClient {
         })
     }
 
-    /// Override the cap on response bodies this client will accept.
-    pub fn set_max_frame(&mut self, max_frame: usize) {
-        self.max_frame = max_frame;
-    }
-
     /// Set read/write timeouts on the underlying socket.
     pub fn set_timeouts(&self, timeout: Option<Duration>) -> Result<(), ClientError> {
         self.stream.set_read_timeout(timeout)?;

@@ -12,10 +12,10 @@
 //!   worker, explicit [`protocol::Status::Busy`] backpressure instead of
 //!   unbounded buffering, per-request queue deadlines, and graceful
 //!   shutdown that drains every admitted request;
-//! * **per-tenant accounting and health counters** ([`metrics`]), the
-//!   server's one counter registry, readable live through
-//!   [`Server::metrics`]; `primacy-trace` keeps only a request counter and
-//!   the queue-depth, queue-wait and latency histograms;
+//! * **per-tenant accounting, health counters and queue-depth, queue-wait
+//!   and latency histograms** ([`metrics`]), the server's one registry,
+//!   readable live through [`Server::metrics`]; the server records nothing
+//!   in the process-global `primacy-trace` collector;
 //! * a blocking **client** ([`client`]) used by the integration tests and
 //!   the `primacy-loadgen` load generator.
 //!
@@ -48,9 +48,9 @@ pub use server::{ServeConfig, Server};
 use std::sync::{Mutex, MutexGuard};
 
 /// Lock `m`, recovering the guard if a panic poisoned it. Every mutex in
-/// this crate guards plain data (tenant tallies, the job deque and its
-/// closed flag, connection maps and socket handles) that stays valid when
-/// a holder unwinds, and the server must keep answering after a caught
+/// this crate guards plain data (the metrics, the job deque and its closed
+/// flag, connection maps and socket handles) that stays valid when a
+/// holder unwinds, and the server must keep answering after a caught
 /// panic.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())

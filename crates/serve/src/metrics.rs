@@ -1,20 +1,21 @@
-//! Per-tenant accounting and server health counters.
+//! Per-tenant accounting, server health counters and latency histograms.
 //!
-//! [`Metrics`] is the server's one counter registry: exact per-tenant
-//! byte/request/error counts plus health counters, owned by one
+//! [`Metrics`] is the server's one registry: exact per-tenant
+//! byte/request/error counts, health counters, and log2 histograms of queue
+//! depth, queue wait and codec latency, owned by one
 //! [`Server`](crate::Server) and snapshottable at any time through
-//! [`Server::metrics`](crate::Server::metrics). `primacy-trace` records only
-//! what this registry lacks: the `serve.request` counter and the log2
-//! queue-depth, queue-wait and latency histograms.
+//! [`Server::metrics`](crate::Server::metrics). The server records nothing
+//! anywhere else.
 //!
-//! The registry is per server, not trace's process-global sink: one
+//! The registry is per server, not trace's process-global collector: one
 //! process can run several servers (the integration tests do), each
 //! answering for its own exact counts, and trace names must be `'static`,
 //! so a per-tenant breakdown could not live there anyway.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use primacy_trace::Histogram;
 
 use crate::lock_recover;
 
@@ -33,40 +34,12 @@ pub struct TenantCounters {
     pub bytes_out: u64,
 }
 
-/// Live server metrics. All counters are monotonic; relaxed ordering is
-/// sufficient everywhere because readers only ever want totals, not
-/// happens-before edges.
+/// Live server metrics: one [`MetricsSnapshot`] under one mutex.
+///
+/// The lock is a leaf: nothing else is locked and no I/O happens while it
+/// is held, so taking it can never be part of a lock-order cycle.
 #[derive(Debug, Default)]
-pub struct Metrics {
-    tenants: Mutex<BTreeMap<u64, TenantCounters>>,
-    /// Connections accepted.
-    pub accepted_conns: AtomicU64,
-    /// Connections fully closed.
-    pub closed_conns: AtomicU64,
-    /// Frames rejected with a typed protocol error.
-    pub proto_errors: AtomicU64,
-    /// Requests rejected with `Busy` backpressure.
-    pub busy: AtomicU64,
-    /// Requests cancelled after waiting past their deadline.
-    pub timeouts: AtomicU64,
-    /// Requests rejected because the server was draining.
-    pub shedding: AtomicU64,
-    /// Responses that could not be written back (peer gone or stalled).
-    pub send_failures: AtomicU64,
-    /// Connections cut for exceeding the read timeout (slow-loris guard).
-    pub slow_closes: AtomicU64,
-    /// Panics caught in connection handlers. Must stay 0.
-    pub conn_panics: AtomicU64,
-    /// Panics caught around codec execution in workers. Must stay 0.
-    pub worker_panics: AtomicU64,
-}
-
-/// Add `delta` with relaxed ordering (all metrics are plain tallies).
-pub(crate) fn bump(counter: &AtomicU64, delta: u64) {
-    // ORDERING: monotonic counters read only as totals; no data is
-    // published through them.
-    counter.fetch_add(delta, Ordering::Relaxed);
-}
+pub struct Metrics(Mutex<MetricsSnapshot>);
 
 impl Metrics {
     /// Fresh, all-zero metrics.
@@ -74,18 +47,69 @@ impl Metrics {
         Self::default()
     }
 
+    /// Update the live metrics under the lock. Every update the server
+    /// makes goes through here, several fields at once where one event
+    /// moves several. `update` runs with the lock held, so it touches the
+    /// snapshot and nothing else.
+    pub(crate) fn record(&self, update: impl FnOnce(&mut MetricsSnapshot)) {
+        update(&mut lock_recover(&self.0));
+    }
+
+    /// Point-in-time copy of every counter and histogram.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        lock_recover(&self.0).clone()
+    }
+}
+
+/// Every counter and histogram of one server: the value [`Metrics`] guards
+/// and the copy [`Metrics::snapshot`] returns. Counters are monotonic.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MetricsSnapshot {
+    /// Per-tenant accounting, keyed by tenant id.
+    pub tenants: BTreeMap<u64, TenantCounters>,
+    /// Connections accepted.
+    pub accepted_conns: u64,
+    /// Connections fully closed.
+    pub closed_conns: u64,
+    /// Frames rejected with a typed protocol error.
+    pub proto_errors: u64,
+    /// Requests rejected with `Busy` backpressure.
+    pub busy: u64,
+    /// Requests cancelled after waiting past their deadline.
+    pub timeouts: u64,
+    /// Requests rejected because the server was draining.
+    pub shedding: u64,
+    /// Responses that could not be written back (peer gone or stalled).
+    pub send_failures: u64,
+    /// Connections cut for exceeding the read timeout (slow-loris guard).
+    pub slow_closes: u64,
+    /// Panics caught in connection handlers. Must stay 0.
+    pub conn_panics: u64,
+    /// Panics caught around codec execution in workers. Must stay 0.
+    pub worker_panics: u64,
+    /// Queue depth after each admission, the admitted job included. The
+    /// connection thread records it once the push returns, so a worker may
+    /// answer the job first.
+    pub queue_depth: Histogram,
+    /// Microseconds each admitted job waited in the queue, recorded when a
+    /// worker takes it.
+    pub queue_wait_us: Histogram,
+    /// Microseconds of codec work per executed job; a job cancelled at its
+    /// deadline records none.
+    pub latency_us: Histogram,
+}
+
+impl MetricsSnapshot {
     /// Account an admitted request's input size to its tenant.
-    pub fn tenant_request(&self, tenant: u64, bytes_in: u64) {
-        let mut map = lock_recover(&self.tenants);
-        let c = map.entry(tenant).or_default();
+    pub(crate) fn tenant_request(&mut self, tenant: u64, bytes_in: u64) {
+        let c = self.tenants.entry(tenant).or_default();
         c.requests = c.requests.saturating_add(1);
         c.bytes_in = c.bytes_in.saturating_add(bytes_in);
     }
 
     /// Account a completed request's outcome to its tenant.
-    pub fn tenant_done(&self, tenant: u64, ok: bool, bytes_out: u64) {
-        let mut map = lock_recover(&self.tenants);
-        let c = map.entry(tenant).or_default();
+    pub(crate) fn tenant_done(&mut self, tenant: u64, ok: bool, bytes_out: u64) {
+        let c = self.tenants.entry(tenant).or_default();
         if ok {
             c.ok = c.ok.saturating_add(1);
         } else {
@@ -94,54 +118,6 @@ impl Metrics {
         c.bytes_out = c.bytes_out.saturating_add(bytes_out);
     }
 
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        // ORDERING: relaxed loads of monotonic tallies; see `bump`.
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            tenants: lock_recover(&self.tenants).clone(),
-            accepted_conns: load(&self.accepted_conns),
-            closed_conns: load(&self.closed_conns),
-            proto_errors: load(&self.proto_errors),
-            busy: load(&self.busy),
-            timeouts: load(&self.timeouts),
-            shedding: load(&self.shedding),
-            send_failures: load(&self.send_failures),
-            slow_closes: load(&self.slow_closes),
-            conn_panics: load(&self.conn_panics),
-            worker_panics: load(&self.worker_panics),
-        }
-    }
-}
-
-/// Frozen copy of [`Metrics`] returned by [`Metrics::snapshot`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Per-tenant accounting, keyed by tenant id.
-    pub tenants: BTreeMap<u64, TenantCounters>,
-    /// See [`Metrics::accepted_conns`].
-    pub accepted_conns: u64,
-    /// See [`Metrics::closed_conns`].
-    pub closed_conns: u64,
-    /// See [`Metrics::proto_errors`].
-    pub proto_errors: u64,
-    /// See [`Metrics::busy`].
-    pub busy: u64,
-    /// See [`Metrics::timeouts`].
-    pub timeouts: u64,
-    /// See [`Metrics::shedding`].
-    pub shedding: u64,
-    /// See [`Metrics::send_failures`].
-    pub send_failures: u64,
-    /// See [`Metrics::slow_closes`].
-    pub slow_closes: u64,
-    /// See [`Metrics::conn_panics`].
-    pub conn_panics: u64,
-    /// See [`Metrics::worker_panics`].
-    pub worker_panics: u64,
-}
-
-impl MetricsSnapshot {
     /// Total `Ok` responses across tenants.
     pub fn total_ok(&self) -> u64 {
         self.tenants.values().map(|c| c.ok).sum()
@@ -158,8 +134,8 @@ impl MetricsSnapshot {
         self.conn_panics.saturating_add(self.worker_panics)
     }
 
-    /// Render a small human-readable table (used by the server binary on
-    /// shutdown).
+    /// Render a small human-readable table (the server binary and
+    /// `primacy-loadgen` print it on shutdown).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -189,6 +165,13 @@ impl MetricsSnapshot {
                 c.requests, c.ok, c.errors, c.bytes_in, c.bytes_out
             );
         }
+        for (name, h) in [
+            ("queue_depth", &self.queue_depth),
+            ("queue_wait_us", &self.queue_wait_us),
+            ("latency_us", &self.latency_us),
+        ] {
+            let _ = writeln!(s, "{name:<14} n={:<10} mean={:.1}", h.count, h.mean());
+        }
         s
     }
 }
@@ -200,12 +183,12 @@ mod tests {
     #[test]
     fn tenant_accounting_accumulates() {
         let m = Metrics::new();
-        m.tenant_request(7, 100);
-        m.tenant_request(7, 50);
-        m.tenant_request(9, 10);
-        m.tenant_done(7, true, 40);
-        m.tenant_done(7, false, 0);
-        m.tenant_done(9, true, 5);
+        m.record(|s| s.tenant_request(7, 100));
+        m.record(|s| s.tenant_request(7, 50));
+        m.record(|s| s.tenant_request(9, 10));
+        m.record(|s| s.tenant_done(7, true, 40));
+        m.record(|s| s.tenant_done(7, false, 0));
+        m.record(|s| s.tenant_done(9, true, 5));
         let snap = m.snapshot();
         assert_eq!(
             snap.tenants[&7],
@@ -224,15 +207,25 @@ mod tests {
     }
 
     #[test]
-    fn health_counters_bump() {
+    fn health_counters_and_histograms_record() {
         let m = Metrics::new();
-        bump(&m.busy, 3);
-        bump(&m.conn_panics, 1);
+        m.record(|s| {
+            s.busy += 3;
+            s.conn_panics += 1;
+            s.latency_us.observe(40);
+            s.latency_us.observe(60);
+        });
         let snap = m.snapshot();
         assert_eq!(snap.busy, 3);
         assert_eq!(snap.total_panics(), 1);
+        assert_eq!(snap.latency_us.count, 2);
+        assert_eq!(snap.queue_depth.count, 0);
         // Render never panics and mentions the numbers.
         let table = snap.render();
         assert!(table.contains("busy: 3"));
+        assert!(
+            table.contains("latency_us     n=2          mean=50.0"),
+            "{table}"
+        );
     }
 }

@@ -32,6 +32,8 @@
 
 use std::io::Read;
 
+use primacy_codecs::CodecKind;
+
 /// First two body bytes of every frame, both directions.
 pub const MAGIC: [u8; 2] = [b'P', b's'];
 /// Current protocol version byte.
@@ -142,6 +144,19 @@ impl ServeCodec {
             4 => Ok(ServeCodec::Fpz),
             5 => Ok(ServeCodec::Primacy),
             other => Err(ProtoError::BadCodec(other)),
+        }
+    }
+
+    /// The codec this selector runs, or `None` for [`ServeCodec::Primacy`],
+    /// which runs the whole pipeline.
+    pub fn kind(self) -> Option<CodecKind> {
+        match self {
+            ServeCodec::Zlib => Some(CodecKind::Zlib),
+            ServeCodec::Lzr => Some(CodecKind::Lzr),
+            ServeCodec::Bwt => Some(CodecKind::Bwt),
+            ServeCodec::Fpc => Some(CodecKind::Fpc),
+            ServeCodec::Fpz => Some(CodecKind::Fpz),
+            ServeCodec::Primacy => None,
         }
     }
 
@@ -440,16 +455,9 @@ impl Response {
     }
 }
 
-/// Split one frame off the front of `buf`.
-///
-/// Returns `Ok(None)` when the buffer holds only part of a frame (read more
-/// and retry), or `Ok(Some((body, consumed)))` with the complete frame body
-/// and the total bytes consumed (prefix + body). The length prefix is
-/// validated against `max_body` *before* the body is touched.
-pub fn split_frame(buf: &[u8], max_body: usize) -> Result<Option<(&[u8], usize)>, ProtoError> {
-    let Some(prefix) = read_array::<4>(buf, 0) else {
-        return Ok(None);
-    };
+/// The body length a frame's prefix claims, checked against the cap
+/// `max_body` and the header minimum before any body byte is touched.
+fn body_len(prefix: [u8; LEN_BYTES], max_body: usize) -> Result<usize, ProtoError> {
     let claimed = u32::from_le_bytes(prefix) as usize;
     if claimed > max_body {
         return Err(ProtoError::FrameTooLarge {
@@ -460,6 +468,20 @@ pub fn split_frame(buf: &[u8], max_body: usize) -> Result<Option<(&[u8], usize)>
     if claimed < HEADER_BYTES {
         return Err(ProtoError::Truncated);
     }
+    Ok(claimed)
+}
+
+/// Split one frame off the front of `buf`.
+///
+/// Returns `Ok(None)` when the buffer holds only part of a frame (read more
+/// and retry), or `Ok(Some((body, consumed)))` with the complete frame body
+/// and the total bytes consumed (prefix + body). The length prefix is
+/// validated against `max_body` *before* the body is touched.
+pub fn split_frame(buf: &[u8], max_body: usize) -> Result<Option<(&[u8], usize)>, ProtoError> {
+    let Some(prefix) = read_array(buf, 0) else {
+        return Ok(None);
+    };
+    let claimed = body_len(prefix, max_body)?;
     let end = LEN_BYTES.saturating_add(claimed);
     match buf.get(LEN_BYTES..end) {
         Some(body) => Ok(Some((body, end))),
@@ -518,19 +540,9 @@ pub fn read_frame(r: &mut impl Read, max_body: usize) -> Result<Option<Vec<u8>>,
         }
         got = got.saturating_add(n);
     }
-    let claimed = u32::from_le_bytes(prefix) as usize;
-    if claimed > max_body {
-        return Err(ProtoError::FrameTooLarge {
-            claimed: claimed as u64,
-            cap: max_body as u64,
-        }
-        .into());
-    }
-    if claimed < HEADER_BYTES {
-        return Err(ProtoError::Truncated.into());
-    }
-    // `claimed` is bounded by `max_body` above, so this allocation is capped
-    // by configuration, not by the wire.
+    let claimed = body_len(prefix, max_body)?;
+    // `claimed` is bounded by `max_body`, so this allocation is capped by
+    // configuration, not by the wire.
     let mut body = vec![0u8; claimed];
     match r.read_exact(&mut body) {
         Ok(()) => Ok(Some(body)),
@@ -605,6 +617,18 @@ mod tests {
         assert!(ServeCodec::from_byte(6).is_err());
         assert!(Status::from_byte(8).is_err());
         assert_eq!(ServeCodec::from_name("nope"), None);
+    }
+
+    #[test]
+    fn kind_names_the_same_codec() {
+        let kinds: Vec<CodecKind> = ServeCodec::ALL.iter().filter_map(|c| c.kind()).collect();
+        assert_eq!(kinds, CodecKind::ALL);
+        for codec in ServeCodec::ALL {
+            if let Some(kind) = codec.kind() {
+                assert_eq!(kind.to_string(), codec.name());
+            }
+        }
+        assert_eq!(ServeCodec::Primacy.kind(), None);
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl<T> Bounded<T> {
         drop(inner);
         self.not_empty.notify_all();
     }
-
-    /// Whether [`Bounded::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        lock_recover(&self.inner).closed
-    }
 }
 
 #[cfg(test)]

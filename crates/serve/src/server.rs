@@ -32,12 +32,11 @@ use std::time::{Duration, Instant};
 use primacy_codecs::{Codec, CodecKind, CodecScratch};
 use primacy_core::config::resolve_threads;
 use primacy_core::{PrimacyCompressor, PrimacyConfig, PrimacyError};
-use primacy_trace as trace;
 
 use crate::lock_recover;
-use crate::metrics::{bump, Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::protocol::{
-    self, max_response_body, FrameError, Op, ProtoError, Request, Response, ServeCodec, Status,
+    self, max_response_body, FrameError, Op, ProtoError, Request, Response, Status,
     DEFAULT_MAX_FRAME,
 };
 use crate::queue::{Bounded, PushError};
@@ -93,21 +92,16 @@ impl Conn {
     /// succeeded; failures are tallied, not propagated — the client is
     /// simply gone.
     fn send(&self, metrics: &Metrics, resp: &Response) -> bool {
-        let frame = match resp.encode_frame() {
-            Ok(f) => f,
-            Err(_) => {
-                bump(&metrics.send_failures, 1);
-                return false;
-            }
+        // The writer guard is a temporary of this statement, so it is
+        // released before the failure is recorded.
+        let sent = match resp.encode_frame() {
+            Ok(frame) => lock_recover(&self.writer).write_all(&frame).is_ok(),
+            Err(_) => false,
         };
-        let mut w = lock_recover(&self.writer);
-        match w.write_all(&frame) {
-            Ok(()) => true,
-            Err(_) => {
-                bump(&metrics.send_failures, 1);
-                false
-            }
+        if !sent {
+            metrics.record(|m| m.send_failures += 1);
         }
+        sent
     }
 }
 
@@ -181,8 +175,8 @@ impl Server {
         self.local_addr
     }
 
-    /// Point-in-time copy of the server's counters, readable while it
-    /// runs. [`Metrics`] is the server's only counter registry.
+    /// Point-in-time copy of the server's counters and histograms, readable
+    /// while it runs. [`Metrics`] is the server's only registry.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
     }
@@ -251,7 +245,7 @@ fn acceptor_loop(
             // dropped stream closes it immediately.
             return;
         }
-        bump(&shared.metrics.accepted_conns, 1);
+        shared.metrics.record(|m| m.accepted_conns += 1);
         let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
         let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
         let _ = stream.set_nodelay(true);
@@ -288,14 +282,11 @@ fn connection_entry(shared: &Arc<Shared>, stream: TcpStream, conn: &Arc<Conn>) {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         handle_connection(shared, stream, conn);
     }));
-    if outcome.is_err() {
-        bump(&shared.metrics.conn_panics, 1);
-    }
     lock_recover(&shared.conns).remove(&conn.id);
-    bump(&shared.metrics.closed_conns, 1);
-    // Merge this thread's trace records (request counter, queue-depth
-    // histogram) promptly.
-    trace::flush_thread();
+    shared.metrics.record(|m| {
+        m.conn_panics += u64::from(outcome.is_err());
+        m.closed_conns += 1;
+    });
 }
 
 /// A response frame carrying an error status and a short diagnostic.
@@ -324,7 +315,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, conn: &Arc<Con
                     // The frame was complete, so framing is intact — answer
                     // the typed error, then close: a peer that cannot form
                     // a header will not form the next frame either.
-                    bump(&shared.metrics.proto_errors, 1);
+                    shared.metrics.record(|m| m.proto_errors += 1);
                     conn.send(
                         &shared.metrics,
                         &error_response(Status::BadRequest, None, &e.to_string()),
@@ -336,7 +327,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, conn: &Arc<Con
                 // Framing itself is broken (forged length, truncation):
                 // answer once, then close — nothing after this byte
                 // position can be trusted.
-                bump(&shared.metrics.proto_errors, 1);
+                shared.metrics.record(|m| m.proto_errors += 1);
                 let status = match e {
                     ProtoError::FrameTooLarge { .. } => Status::TooLarge,
                     _ => Status::BadRequest,
@@ -353,7 +344,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, conn: &Arc<Con
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) {
                     // Read timeout: the slow-loris guard fired.
-                    bump(&shared.metrics.slow_closes, 1);
+                    shared.metrics.record(|m| m.slow_closes += 1);
                 }
                 return;
             }
@@ -364,7 +355,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, conn: &Arc<Con
 /// Route one decoded request. Returns whether the connection should stay
 /// open.
 fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, request: Request) -> bool {
-    trace::counter("serve.request", 1);
     if request.op == Op::Ping {
         // Health checks bypass the queue: answer inline, echoing the
         // payload so clients can verify liveness end to end.
@@ -379,9 +369,12 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, request: Request) -> bool {
         return conn.send(&shared.metrics, &resp);
     }
 
+    // Recorded before the push makes the job visible to a worker, so no
+    // snapshot shows an outcome without its request.
+    let (tenant, bytes_in) = (request.tenant, request.payload.len() as u64);
     shared
         .metrics
-        .tenant_request(request.tenant, request.payload.len() as u64);
+        .record(|m| m.tenant_request(tenant, bytes_in));
 
     let now = Instant::now();
     let deadline = now
@@ -395,20 +388,26 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, request: Request) -> bool {
     };
     match shared.queue.try_push(job) {
         Ok(depth) => {
-            trace::observe("serve.queue_depth", depth as u64);
+            shared
+                .metrics
+                .record(|m| m.queue_depth.observe(depth as u64));
             true
         }
         Err(PushError::Full(job)) => {
-            bump(&shared.metrics.busy, 1);
-            shared.metrics.tenant_done(job.request.tenant, false, 0);
+            shared.metrics.record(|m| {
+                m.busy += 1;
+                m.tenant_done(tenant, false, 0);
+            });
             job.conn.send(
                 &shared.metrics,
                 &error_response(Status::Busy, Some(&job.request), "queue full"),
             )
         }
         Err(PushError::Closed(job)) => {
-            bump(&shared.metrics.shedding, 1);
-            shared.metrics.tenant_done(job.request.tenant, false, 0);
+            shared.metrics.record(|m| {
+                m.shedding += 1;
+                m.tenant_done(tenant, false, 0);
+            });
             job.conn.send(
                 &shared.metrics,
                 &error_response(Status::ShuttingDown, Some(&job.request), "draining"),
@@ -417,17 +416,11 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, request: Request) -> bool {
     }
 }
 
-/// Map a codec selector to the worker's codec instance.
-fn codec_for(codecs: &[Box<dyn Codec>], selector: ServeCodec) -> Option<&dyn Codec> {
-    let index = match selector {
-        ServeCodec::Zlib => 0usize,
-        ServeCodec::Lzr => 1,
-        ServeCodec::Bwt => 2,
-        ServeCodec::Fpc => 3,
-        ServeCodec::Fpz => 4,
-        ServeCodec::Primacy => return None,
-    };
-    codecs.get(index).map(AsRef::as_ref)
+/// One instance of every codec, each next to the kind it was built from;
+/// a worker builds the table once and picks from it by
+/// [`ServeCodec::kind`](crate::ServeCodec::kind).
+fn codec_table() -> Vec<(CodecKind, Box<dyn Codec>)> {
+    CodecKind::ALL.iter().map(|&k| (k, k.build())).collect()
 }
 
 fn map_primacy_error(e: &PrimacyError) -> Status {
@@ -442,19 +435,19 @@ fn map_primacy_error(e: &PrimacyError) -> Status {
 fn execute(
     request: &Request,
     scratch: &mut CodecScratch,
-    codecs: &[Box<dyn Codec>],
+    codecs: &[(CodecKind, Box<dyn Codec>)],
     compressor: &PrimacyCompressor,
 ) -> Result<Vec<u8>, (Status, String)> {
-    match (request.op, request.codec) {
+    match (request.op, request.codec.kind()) {
         (Op::Ping, _) => Ok(request.payload.clone()),
-        (Op::Compress, ServeCodec::Primacy) => compressor
+        (Op::Compress, None) => compressor
             .compress_bytes(&request.payload)
             .map_err(|e| (map_primacy_error(&e), e.to_string())),
-        (Op::Decompress, ServeCodec::Primacy) => compressor
+        (Op::Decompress, None) => compressor
             .decompress_bytes(&request.payload)
             .map_err(|e| (map_primacy_error(&e), e.to_string())),
-        (op, selector) => {
-            let Some(codec) = codec_for(codecs, selector) else {
+        (op, Some(kind)) => {
+            let Some((_, codec)) = codecs.iter().find(|(k, _)| *k == kind) else {
                 return Err((Status::Internal, "codec table hole".to_string()));
             };
             let result = match op {
@@ -466,27 +459,29 @@ fn execute(
     }
 }
 
+/// Whole microseconds in `d`, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
 fn worker_loop(shared: &Arc<Shared>) {
-    // One trace scope per worker lifetime: aggregates merge on exit.
-    let _trace_scope = trace::thread_scope();
     // One scratch per worker — the allocation-reuse contract from PR 5 —
     // plus one instance of every codec, built once.
     let mut scratch = CodecScratch::new();
-    let codecs: Vec<Box<dyn Codec>> = CodecKind::ALL.iter().map(|k| k.build()).collect();
+    let codecs = codec_table();
     let compressor = PrimacyCompressor::new(PrimacyConfig::default());
     let response_cap = max_response_body(shared.config.max_frame_bytes);
 
     while let Some(job) = shared.queue.pop() {
-        let waited = job.enqueued.elapsed();
-        trace::observe(
-            "serve.queue_wait_us",
-            u64::try_from(waited.as_micros()).unwrap_or(u64::MAX),
-        );
+        let waited_us = micros(job.enqueued.elapsed());
         let tenant = job.request.tenant;
         if Instant::now() >= job.deadline {
             // Cancelled while queued: answer without doing the work.
-            bump(&shared.metrics.timeouts, 1);
-            shared.metrics.tenant_done(tenant, false, 0);
+            shared.metrics.record(|m| {
+                m.queue_wait_us.observe(waited_us);
+                m.timeouts += 1;
+                m.tenant_done(tenant, false, 0);
+            });
             job.conn.send(
                 &shared.metrics,
                 &error_response(Status::Timeout, Some(&job.request), "queue deadline"),
@@ -498,60 +493,46 @@ fn worker_loop(shared: &Arc<Shared>) {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             execute(&job.request, &mut scratch, &codecs, &compressor)
         }));
-        let outcome = match outcome {
-            Ok(result) => result,
-            Err(_) => {
-                bump(&shared.metrics.worker_panics, 1);
-                // Scratch state after an unwind is suspect; start fresh.
-                scratch = CodecScratch::new();
-                Err((Status::Internal, "worker panicked".to_string()))
-            }
-        };
-        trace::observe(
-            "serve.latency_us",
-            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-        );
-
-        match outcome {
-            Ok(bytes) if bytes.len() > response_cap => {
-                shared.metrics.tenant_done(tenant, false, 0);
-                job.conn.send(
-                    &shared.metrics,
-                    &error_response(
-                        Status::TooLarge,
-                        Some(&job.request),
-                        "result exceeds the response cap",
-                    ),
-                );
-            }
-            Ok(bytes) => {
-                shared.metrics.tenant_done(tenant, true, bytes.len() as u64);
-                job.conn.send(
-                    &shared.metrics,
-                    &Response {
-                        status: Status::Ok,
-                        op_echo: job.request.op.to_byte(),
-                        codec_echo: job.request.codec.to_byte(),
-                        request_id: job.request.request_id,
-                        tenant,
-                        payload: bytes,
-                    },
-                );
-            }
-            Err((status, detail)) => {
-                shared.metrics.tenant_done(tenant, false, 0);
-                job.conn.send(
-                    &shared.metrics,
-                    &error_response(status, Some(&job.request), &detail),
-                );
-            }
+        let panicked = outcome.is_err();
+        if panicked {
+            // Scratch state after an unwind is suspect; start fresh.
+            scratch = CodecScratch::new();
         }
+        let latency_us = micros(started.elapsed());
+
+        let response = match outcome {
+            Err(_) => error_response(Status::Internal, Some(&job.request), "worker panicked"),
+            Ok(Ok(bytes)) if bytes.len() > response_cap => error_response(
+                Status::TooLarge,
+                Some(&job.request),
+                "result exceeds the response cap",
+            ),
+            Ok(Ok(bytes)) => Response {
+                status: Status::Ok,
+                op_echo: job.request.op.to_byte(),
+                codec_echo: job.request.codec.to_byte(),
+                request_id: job.request.request_id,
+                tenant,
+                payload: bytes,
+            },
+            Ok(Err((status, detail))) => error_response(status, Some(&job.request), &detail),
+        };
+        let ok = response.status == Status::Ok;
+        let bytes_out = if ok { response.payload.len() as u64 } else { 0 };
+        shared.metrics.record(|m| {
+            m.queue_wait_us.observe(waited_us);
+            m.latency_us.observe(latency_us);
+            m.worker_panics += u64::from(panicked);
+            m.tenant_done(tenant, ok, bytes_out);
+        });
+        job.conn.send(&shared.metrics, &response);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ServeCodec;
 
     #[test]
     fn config_default_is_sane() {
@@ -585,7 +566,7 @@ mod tests {
     #[test]
     fn execute_covers_every_selector_roundtrip() {
         let mut scratch = CodecScratch::new();
-        let codecs: Vec<Box<dyn Codec>> = CodecKind::ALL.iter().map(|k| k.build()).collect();
+        let codecs = codec_table();
         let compressor = PrimacyCompressor::new(PrimacyConfig::default());
         // 8-byte aligned payload so Primacy accepts it too.
         let payload: Vec<u8> = (0..256u32).flat_map(|i| (i as f64).to_le_bytes()).collect();
@@ -615,7 +596,7 @@ mod tests {
     #[test]
     fn execute_maps_errors_to_statuses() {
         let mut scratch = CodecScratch::new();
-        let codecs: Vec<Box<dyn Codec>> = CodecKind::ALL.iter().map(|k| k.build()).collect();
+        let codecs = codec_table();
         let compressor = PrimacyCompressor::new(PrimacyConfig::default());
         // Unaligned payload into the PRIMACY pipeline: a client error.
         let req = Request {

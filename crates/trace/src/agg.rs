@@ -3,8 +3,10 @@
 //!
 //! Everything here is plain data — no locks, no globals. A thread records
 //! into its own [`Aggregate`] (see the facade in [`crate`]) and the whole
-//! aggregate is merged into a [`crate::TraceSink`] in one call at scope
-//! exit, so the hot path never takes a lock per record.
+//! aggregate is merged into the process's one collector in one call at
+//! scope exit, so the hot path never takes a lock per record. A
+//! [`Histogram`] is also usable on its own: `primacy-serve` keeps three in
+//! its per-server `Metrics` registry.
 
 use std::collections::BTreeMap;
 use std::time::Duration;

@@ -1,60 +1,36 @@
-//! The collecting sink and human-readable rendering.
+//! The process's one collector and human-readable rendering.
 
 use crate::agg::{Aggregate, Histogram};
-use crate::TraceSink;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// A [`TraceSink`] that folds every thread's aggregate into one shared
-/// [`Aggregate`] under a mutex.
+/// Every thread's aggregate, folded into one under a mutex.
 ///
 /// The mutex is taken once per thread-scope merge, not per record, so the
-/// hot path stays lock-free. `new` is `const`, so a collector can live in a
-/// `static` and be [`crate::install`]ed without allocation.
-pub struct Collector {
-    inner: Mutex<Aggregate>,
+/// hot path stays lock-free.
+static COLLECTOR: Mutex<Aggregate> = Mutex::new(Aggregate::new());
+
+fn lock() -> MutexGuard<'static, Aggregate> {
+    // A panic while holding the lock cannot corrupt the plain-data
+    // aggregate; recover it rather than poisoning all future traces.
+    COLLECTOR.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl Collector {
-    /// An empty collector.
-    pub const fn new() -> Self {
-        Self {
-            inner: Mutex::new(Aggregate::new()),
-        }
-    }
-
-    /// Clone the current totals.
-    pub fn snapshot(&self) -> Aggregate {
-        self.lock().clone()
-    }
-
-    /// Discard everything collected so far.
-    pub fn reset(&self) {
-        *self.lock() = Aggregate::new();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Aggregate> {
-        // A panic while holding the lock cannot corrupt the plain-data
-        // aggregate; recover it rather than poisoning all future traces.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
+/// Fold one thread's aggregate into the collector.
+pub(crate) fn merge(agg: &Aggregate) {
+    lock().merge_from(agg);
 }
 
-impl Default for Collector {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Clone the totals merged so far. Records still pending in a thread's
+/// aggregate are not included: see [`crate::flush_thread`].
+pub fn snapshot() -> Aggregate {
+    lock().clone()
 }
 
-impl TraceSink for Collector {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn merge(&self, agg: &Aggregate) {
-        self.lock().merge_from(agg);
-    }
+/// Discard everything collected so far.
+pub fn reset() {
+    *lock() = Aggregate::new();
 }
 
 /// Format a duration compactly with a unit picked by magnitude
@@ -165,22 +141,6 @@ pub fn render_table(agg: &Aggregate, stages: &[&str], wall: Duration) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn collector_merges_and_snapshots() {
-        let c = Collector::new();
-        assert!(c.enabled());
-        let mut a = Aggregate::new();
-        a.record_span("split", 1_000);
-        a.record_counter("chunks", 3);
-        c.merge(&a);
-        c.merge(&a);
-        let snap = c.snapshot();
-        assert_eq!(snap.spans["split"].count, 2);
-        assert_eq!(snap.counter("chunks"), 6);
-        c.reset();
-        assert!(c.snapshot().is_empty());
-    }
 
     #[test]
     fn table_lists_stages_in_order_with_percentages() {

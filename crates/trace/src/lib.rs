@@ -5,17 +5,17 @@
 //! partitioning. This crate is the in-tree substitute for the `tracing` +
 //! `metrics` crates the dependency policy (DESIGN.md) rules out: a facade of
 //! **span timers**, **monotonic counters** and **fixed-bucket log2
-//! histograms**, aggregated per thread and merged into a process-global
-//! [`TraceSink`] at scope exit.
+//! histograms**, aggregated per thread and merged into the process's one
+//! collector at scope exit.
 //!
 //! Design, in order of importance:
 //!
-//! 1. **Zero overhead when disabled.** The default sink is [`Noop`]; every
-//!    record function first checks one relaxed atomic bool and returns
+//! 1. **Zero overhead when disabled.** Tracing starts disabled; every record
+//!    function first checks one relaxed atomic bool and returns
 //!    immediately — no `Instant::now`, no thread-local touch, no lock.
 //!    `crates/bench/tests/trace_overhead.rs` pins this with the harness.
 //! 2. **Lock-cheap when enabled.** Records go to a plain thread-local
-//!    [`Aggregate`]; the installed sink's mutex is taken once per
+//!    [`Aggregate`]; the collector's mutex is taken once per
 //!    [`ThreadScope`] merge (typically once per worker thread per call),
 //!    never per record.
 //! 3. **Deterministic output.** Aggregates use `BTreeMap`, so tables and
@@ -24,6 +24,7 @@
 //! ```
 //! use primacy_trace as trace;
 //!
+//! trace::enable();
 //! // A worker thread brackets its work in a scope...
 //! let scope = trace::thread_scope();
 //! {
@@ -31,12 +32,14 @@
 //!     trace::counter("chunk.compress", 1);     // monotonic counter
 //!     trace::observe("chunk.plain_bytes", 4096); // log2 histogram
 //! }
-//! drop(scope); // ...and the thread's aggregate merges into the sink here.
+//! drop(scope); // ...and the thread's aggregate merges into the collector here.
+//! assert_eq!(trace::snapshot().counter("chunk.compress"), 1);
 //! ```
 //!
-//! Installation is once per process, exactly like the `log` crate:
-//! [`install`] a `&'static` sink (e.g. a `static` [`Collector`]) before the
-//! traced work runs. Without an installed sink everything above is inert.
+//! [`enable`] switches tracing on for the whole process, and nothing
+//! switches it off: call it before the traced work runs. [`snapshot`] reads
+//! the totals merged so far and [`reset`] discards them. Until [`enable`] is
+//! called everything above is inert.
 //!
 //! The crate also owns the workspace's one JSON codec, [`json`]: the
 //! `Value` emitter and parser, and the [`json::Report`] writer behind every
@@ -50,75 +53,28 @@ mod collect;
 pub mod json;
 
 pub use agg::{Aggregate, Histogram, SpanStat, HISTOGRAM_BUCKETS};
-pub use collect::{fmt_duration, render_table, Collector};
+pub use collect::{fmt_duration, render_table, reset, snapshot};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// A destination for per-thread trace aggregates.
-///
-/// The contract is deliberately coarse: a sink never sees individual
-/// records, only whole [`Aggregate`]s, handed over when a [`ThreadScope`]
-/// ends (or a recording thread exits). Implementations must be cheap to
-/// call concurrently; [`Collector`] is the standard one, [`Noop`] the
-/// default.
-pub trait TraceSink: Send + Sync {
-    /// Whether record sites should do any work at all. Checked once at
-    /// [`install`] time and cached in an atomic, so implementations cannot
-    /// toggle dynamically.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Absorb one thread's aggregate. Called at scope exit, not per record.
-    fn merge(&self, agg: &Aggregate) {
-        let _ = agg;
-    }
-}
-
-/// The do-nothing sink: tracing disabled. This is what runs when nothing
-/// was [`install`]ed.
-pub struct Noop;
-
-impl TraceSink for Noop {}
-
-static NOOP: Noop = Noop;
-static SINK: OnceLock<&'static dyn TraceSink> = OnceLock::new();
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Error returned by [`install`] when a sink is already installed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InstallError;
-
-impl std::fmt::Display for InstallError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("a trace sink is already installed for this process")
-    }
-}
-
-impl std::error::Error for InstallError {}
-
-/// Install the process-global sink. Like `log::set_logger`, this succeeds
-/// at most once per process; later calls fail with [`InstallError`].
-pub fn install(sink: &'static dyn TraceSink) -> Result<(), InstallError> {
-    SINK.set(sink).map_err(|_| InstallError)?;
-    ENABLED.store(sink.enabled(), Ordering::Release);
-    Ok(())
-}
-
-/// The installed sink, or [`Noop`] when none was installed.
-pub fn installed() -> &'static dyn TraceSink {
-    SINK.get().copied().unwrap_or(&NOOP)
+/// Switch tracing on for the rest of the process. Calling it again is
+/// harmless; there is no off switch, so a process that compares traced and
+/// untraced runs does the untraced ones first.
+pub fn enable() {
+    // ORDERING: a one-way on flag; the collector it gates is a `static`
+    // mutex that needs no publication.
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Whether tracing is live. One relaxed atomic load — this is the entire
 /// disabled-path cost of every record function.
 #[inline]
 pub fn enabled() -> bool {
-    // ORDERING: a monotonic on/off flag read on the hot path; the sink
-    // pointer it gates is published by `OnceLock`, which synchronizes.
+    // ORDERING: see `enable`.
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -126,14 +82,14 @@ thread_local! {
     static LOCAL: RefCell<LocalAgg> = const { RefCell::new(LocalAgg(Aggregate::new())) };
 }
 
-/// Thread-local accumulator; its `Drop` flushes to the sink at thread exit
-/// so records are not lost if a thread never opened a [`ThreadScope`].
+/// Thread-local accumulator; its `Drop` flushes to the collector at thread
+/// exit so records are not lost if a thread never opened a [`ThreadScope`].
 struct LocalAgg(Aggregate);
 
 impl Drop for LocalAgg {
     fn drop(&mut self) {
         if !self.0.is_empty() {
-            installed().merge(&self.0);
+            collect::merge(&self.0);
         }
     }
 }
@@ -150,18 +106,18 @@ fn with_local(f: impl FnOnce(&mut Aggregate)) {
     });
 }
 
-/// Merge this thread's pending records into the installed sink now.
-/// Called automatically by [`ThreadScope`]; call it directly on the main
-/// thread before snapshotting a [`Collector`].
+/// Merge this thread's pending records into the collector now. Called
+/// automatically by [`ThreadScope`]; call it directly on the main thread
+/// before taking a [`snapshot`].
 pub fn flush_thread() {
     let mut taken = Aggregate::new();
     with_local(|agg| taken = std::mem::take(agg));
     if !taken.is_empty() {
-        installed().merge(&taken);
+        collect::merge(&taken);
     }
 }
 
-/// Guard that merges the current thread's aggregate into the sink when
+/// Guard that merges the current thread's aggregate into the collector when
 /// dropped. Open one at the top of every worker thread (and around the
 /// traced region on the main thread).
 #[must_use = "the scope merges at drop; binding it to _ merges immediately"]
@@ -245,22 +201,22 @@ pub fn observe_many(name: &'static str, value: u64, count: u64) {
 mod tests {
     use super::*;
 
-    // The global sink installs at most once per process, and the test
-    // harness runs every #[test] in one process — so exactly one test
-    // exercises the full install → record → scope-merge path and the
-    // rest stay off the global. (Aggregate/Collector logic is covered
-    // without globals in agg.rs / collect.rs.)
+    // The collector is process-global and tracing cannot be switched off,
+    // while the test harness runs every #[test] in one process — so exactly
+    // one test enables tracing and exercises the full enable → record →
+    // merge → snapshot → reset path, and the rest stay off the global.
+    // (Aggregate logic is covered without globals in agg.rs.)
     #[test]
-    fn end_to_end_install_record_merge() {
-        static COLLECTOR: Collector = Collector::new();
+    fn end_to_end_enable_record_merge() {
         assert!(!enabled());
-        // Records before install are dropped by the enabled() gate.
+        // Records before enable are dropped by the enabled() gate.
         counter("early", 1);
         span_duration("early", Duration::from_nanos(5));
 
-        install(&COLLECTOR).expect("first install succeeds");
+        enable();
         assert!(enabled());
-        assert!(install(&COLLECTOR).is_err(), "second install must fail");
+        enable();
+        assert!(enabled(), "a second enable keeps tracing on");
 
         {
             let _scope = thread_scope();
@@ -276,31 +232,30 @@ mod tests {
         })
         .join()
         .expect("worker thread");
+        // The collector folds whole aggregates: two merges sum.
+        let mut a = Aggregate::new();
+        a.record_span("split", 1_000);
+        a.record_counter("merged", 3);
+        collect::merge(&a);
+        collect::merge(&a);
 
-        let snap = COLLECTOR.snapshot();
+        let snap = snapshot();
         assert_eq!(snap.counter("early"), 0);
         assert_eq!(snap.counter("chunks"), 7);
         assert_eq!(snap.spans["stage"].total_nanos, 3_000);
         assert!(snap.spans["outer"].total() >= Duration::from_millis(1));
         assert_eq!(snap.histograms["bytes"].count, 1);
+        assert_eq!(snap.spans["split"].count, 2);
+        assert_eq!(snap.counter("merged"), 6);
 
-        COLLECTOR.reset();
-        assert!(COLLECTOR.snapshot().is_empty());
-    }
-
-    #[test]
-    fn noop_sink_reports_disabled() {
-        assert!(!Noop.enabled());
-        // merge on a Noop is a no-op and must not panic.
-        let mut a = Aggregate::new();
-        a.record_counter("x", 1);
-        Noop.merge(&a);
+        reset();
+        assert!(snapshot().is_empty());
     }
 
     #[test]
     fn span_guard_is_inert_without_clock_when_disabled() {
         // Can't observe the Instant directly, but the guard must be safely
-        // droppable regardless of sink state.
+        // droppable whether or not tracing is enabled.
         let g = SpanGuard {
             name: "inert",
             start: None,

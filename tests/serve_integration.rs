@@ -14,12 +14,15 @@
 //!    requests eventually succeed.
 //! 4. **Graceful drain**: shutdown answers every admitted request; no
 //!    response is lost.
+//! 5. **Live metrics**: each server's queue-depth, queue-wait and latency
+//!    histograms count exactly its own admitted jobs, readable while it
+//!    runs.
 
 use primacy_suite::codecs::CodecKind;
 use primacy_suite::core::{PrimacyCompressor, PrimacyConfig};
 use primacy_suite::datagen::DatasetId;
 use primacy_suite::serve::client::expect_ok;
-use primacy_suite::serve::protocol::{Op, Request, ServeCodec, Status};
+use primacy_suite::serve::protocol::{Op, Request, Response, ServeCodec, Status};
 use primacy_suite::serve::{ServeClient, ServeConfig, Server};
 use std::time::Duration;
 
@@ -209,6 +212,123 @@ fn saturated_queue_answers_busy_and_retries_succeed() {
     let snap = server.shutdown();
     assert!(snap.busy >= 1, "server must have counted the shed requests");
     assert_eq!(snap.total_panics(), 0);
+}
+
+/// Requests among `responses` the server admitted into its queue: every
+/// non-ping request it did not turn away with `Busy`.
+fn admitted(responses: &[Response]) -> u64 {
+    responses
+        .iter()
+        .filter(|r| r.status != Status::Busy)
+        .count() as u64
+}
+
+#[test]
+fn metrics_histograms_are_live_and_per_server() {
+    // Server A sheds: one worker, one queue slot, a slow occupier and a
+    // pipelined burst behind it. Server B cancels: a zero queue deadline
+    // makes every admitted job time out at the worker.
+    let a = Server::start(ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let b = Server::start(ServeConfig {
+        workers: 1,
+        request_timeout: Duration::ZERO,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+
+    // A connection thread records a job's queue depth after the push that
+    // lets a worker answer it, so each client ends with a Ping: the thread
+    // answers it only after finishing the request before it.
+    let addr = a.local_addr();
+    let slow_payload = DatasetId::ALL[0].generate_bytes(64 * 1024);
+    let occupier = std::thread::spawn(move || {
+        let mut client = ServeClient::connect(addr).unwrap();
+        let resp = client
+            .compress(ServeCodec::Bwt, 9000, 1, slow_payload)
+            .unwrap();
+        assert_eq!(client.ping(9001, 1).unwrap().status, Status::Ok);
+        resp
+    });
+    // The burst goes out once the occupier is admitted, so it finds the
+    // worker busy or the queue full.
+    while a.metrics().queue_depth.count == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut client = ServeClient::connect(addr).unwrap();
+    let small = payload(64);
+    let burst: Vec<Request> = (0..8)
+        .map(|i| Request {
+            op: Op::Compress,
+            codec: ServeCodec::Lzr,
+            request_id: 100 + i,
+            tenant: 2,
+            payload: small.clone(),
+        })
+        .collect();
+    let mut responses = client.request_burst(&burst).unwrap();
+    responses.push(occupier.join().unwrap());
+    // After the occupier: a decompress that succeeds and a PRIMACY request
+    // the codec rejects; both are admitted and run.
+    let packed = direct_compress(ServeCodec::Zlib, &small);
+    responses.push(client.decompress(ServeCodec::Zlib, 200, 2, packed).unwrap());
+    responses.push(
+        client
+            .compress(ServeCodec::Primacy, 201, 2, vec![0u8; 7])
+            .unwrap(),
+    );
+    assert_eq!(client.ping(202, 2).unwrap().status, Status::Ok);
+
+    let busy = responses.len() as u64 - admitted(&responses);
+    assert!(busy >= 1, "a one-deep queue behind a busy worker must shed");
+    let live = a.metrics();
+    assert_eq!(live.busy, busy);
+    assert_eq!(live.timeouts, 0);
+    assert_eq!(live.total_requests(), responses.len() as u64);
+    assert_eq!(live.queue_depth.count, admitted(&responses));
+    // A one-slot queue holds only the job just admitted.
+    assert_eq!(live.queue_depth.sum, admitted(&responses));
+    assert_eq!(live.queue_wait_us.count, admitted(&responses));
+    assert_eq!(live.latency_us.count, admitted(&responses) - live.timeouts);
+    let table = live.render();
+    for name in ["queue_depth", "queue_wait_us", "latency_us"] {
+        assert!(table.contains(name), "render() omits {name}: {table}");
+    }
+
+    let mut client = ServeClient::connect(b.local_addr()).unwrap();
+    let timed_out: Vec<Response> = (0..3)
+        .map(|i| {
+            client
+                .compress(ServeCodec::Zlib, i, 5, small.clone())
+                .unwrap()
+        })
+        .collect();
+    assert!(timed_out.iter().all(|r| r.status == Status::Timeout));
+    assert_eq!(client.ping(3, 5).unwrap().status, Status::Ok);
+    let other = b.metrics();
+    assert_eq!(other.timeouts, 3);
+    assert_eq!(other.busy, 0);
+    assert_eq!(other.queue_depth.count, admitted(&timed_out));
+    assert_eq!(other.queue_wait_us.count, admitted(&timed_out));
+    assert_eq!(
+        other.latency_us.count,
+        admitted(&timed_out) - other.timeouts
+    );
+
+    // Each server kept its own counts, and the live reads missed nothing
+    // the final snapshots hold.
+    let a_final = a.shutdown();
+    let b_final = b.shutdown();
+    assert_eq!(a_final.tenants, live.tenants);
+    assert_eq!(a_final.latency_us, live.latency_us);
+    assert_eq!(a_final.queue_wait_us, live.queue_wait_us);
+    assert_eq!(a_final.queue_depth, live.queue_depth);
+    assert_eq!(b_final.queue_depth, other.queue_depth);
+    assert_eq!(b_final.timeouts, other.timeouts);
 }
 
 #[test]
