@@ -42,6 +42,7 @@ lint() {
     run cargo build --release --offline -p primacy-lint
     run dep_edges
     run serve_off_trace
+    run codec_entry_points
     local lint_t0=$SECONDS
     run ./target/release/primacy-lint . --baseline lint-baseline.json
     local lint_dt=$((SECONDS - lint_t0))
@@ -81,6 +82,20 @@ serve_off_trace() {
     if [[ -n "$calls" ]]; then
         echo "==> crates/serve/src calls the trace facade:" >&2
         echo "$calls" >&2
+        return 1
+    fi
+}
+
+# Every codec is reached through the `Codec` trait's `compress_with` and
+# `decompress_into` only: an inherent byte-level twin defined in
+# `crates/codecs/src` fails the gate.
+codec_entry_points() {
+    local defs
+    defs=$(grep -rnE '\bfn (compress_bytes|compress_bytes_with|decompress_bytes|decompress_bytes_into)\b' \
+        crates/codecs/src || true)
+    if [[ -n "$defs" ]]; then
+        echo "==> crates/codecs/src defines a codec entry point beside the Codec trait:" >&2
+        echo "$defs" >&2
         return 1
     fi
 }

@@ -67,7 +67,7 @@ fn breakdown(name: &str, bufs: &[Vec<u8>]) -> f64 {
     let mut scratch = lz77::EncoderScratch::new();
     // Warm the scratch allocations out of the measurement.
     for data in bufs {
-        let _ = primacy_codecs::deflate::deflate_with(data, Level::Default, &mut scratch);
+        lz77::tokenize_into(data, Level::Default, &mut scratch);
     }
     let passes: Vec<([f64; 4], usize)> = (0..PASSES).map(|_| pass(bufs, &mut scratch)).collect();
     let part = |k: usize| median(passes.iter().map(|p| p.0[k]).collect());

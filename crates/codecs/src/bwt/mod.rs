@@ -22,7 +22,7 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::checksum::crc32;
 use crate::error::{CodecError, Result};
 use crate::huffman::{package_merge_lengths, Decoder, Encoder};
-use crate::{read_varint, write_varint, Codec};
+use crate::{read_varint, write_varint, Codec, CodecScratch};
 use suffix::suffix_array;
 
 const MAGIC: &[u8; 4] = b"BWT1";
@@ -455,12 +455,13 @@ fn decompress_block(input: &[u8], pos: &mut usize, out: &mut Vec<u8>) -> Result<
     Ok(())
 }
 
+/// BWT keeps no state between calls, so both methods ignore `scratch`.
 impl Codec for BwtCodec {
     fn name(&self) -> &'static str {
         "bwt"
     }
 
-    fn compress(&self, input: &[u8]) -> Result<Vec<u8>> {
+    fn compress_with(&self, input: &[u8], _scratch: &mut CodecScratch) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(input.len() / 2 + 32);
         out.extend_from_slice(MAGIC);
         write_varint(&mut out, input.len() as u64);
@@ -471,7 +472,12 @@ impl Codec for BwtCodec {
         Ok(out)
     }
 
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
+    fn decompress_into(
+        &self,
+        input: &[u8],
+        _scratch: &mut CodecScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         if input.len() < MAGIC.len() + 4 {
             return Err(CodecError::Truncated);
         }
@@ -482,12 +488,13 @@ impl Codec for BwtCodec {
         let mut pos = 4usize;
         let (total_len, used) = read_varint(input.get(pos..body_end).unwrap_or(&[]))?;
         pos = pos.checked_add(used).ok_or(CodecError::Truncated)?;
-        let mut out = Vec::with_capacity(crate::clamped_capacity(total_len));
+        out.clear();
+        out.reserve(crate::clamped_capacity(total_len));
         while (out.len() as u64) < total_len {
             if pos >= body_end {
                 return Err(CodecError::Truncated);
             }
-            decompress_block(input, &mut pos, &mut out)?;
+            decompress_block(input, &mut pos, out)?;
         }
         if out.len() as u64 != total_len {
             return Err(CodecError::LengthMismatch {
@@ -495,16 +502,15 @@ impl Codec for BwtCodec {
                 actual: out.len(),
             });
         }
-        let stored =
-            u32::from_le_bytes(crate::read_array(input, body_end).ok_or(CodecError::Truncated)?);
-        let actual = crc32(&out);
+        let stored = u32::from_le_bytes(crate::read_array(input, body_end)?);
+        let actual = crc32(out);
         if stored != actual {
             return Err(CodecError::ChecksumMismatch {
                 expected: stored,
                 actual,
             });
         }
-        Ok(out)
+        Ok(())
     }
 }
 

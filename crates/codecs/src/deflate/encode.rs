@@ -426,24 +426,20 @@ fn span_bytes(tokens: &[Token]) -> usize {
 
 /// Encode the full token stream as a sequence of DEFLATE blocks.
 ///
-/// One-shot convenience over [`emit_blocks_with`]; allocates fresh header
+/// One-shot convenience over [`emit_blocks_into`]; allocates fresh header
 /// scratch per call. The pipeline threads the scratch embedded in
 /// [`super::lz77::EncoderScratch`] instead.
 pub fn emit_blocks(input: &[u8], tokens: &[Token]) -> Vec<u8> {
-    emit_blocks_with(input, tokens, &mut HeaderScratch::default())
-}
-
-/// [`emit_blocks`] with caller-owned header scratch, so steady-state block
-/// emission reuses the code-length/RLE buffers across blocks and calls.
-pub fn emit_blocks_with(input: &[u8], tokens: &[Token], hs: &mut HeaderScratch) -> Vec<u8> {
     // Worst case is all-stored: 5 header bytes per 65535 plus the data.
     let buf = Vec::with_capacity(input.len() + input.len() / 250 + 64);
-    emit_blocks_into(input, tokens, hs, buf)
+    emit_blocks_into(input, tokens, &mut HeaderScratch::default(), buf)
 }
 
-/// [`emit_blocks_with`], appending to `buf` (byte-aligned) and returning it.
-/// Lets the zlib/gzip containers hand the encoder their output buffer so the
-/// finished stream is never copied into the container afterwards.
+/// [`emit_blocks`] with caller-owned header scratch, appending to `buf`
+/// (byte-aligned) and returning it. Steady-state block emission reuses the
+/// code-length/RLE buffers across blocks and calls, and the zlib/gzip
+/// containers hand the encoder their output buffer so the finished stream
+/// is never copied into the container afterwards.
 pub fn emit_blocks_into(
     input: &[u8],
     tokens: &[Token],

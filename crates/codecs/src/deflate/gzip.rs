@@ -7,10 +7,11 @@
 //! FCOMMENT parsing included), mtime, CRC-32 and ISIZE — and rejects the
 //! rest loudly.
 
-use super::{decode, EncoderScratch, Level};
+use super::{decode, Level};
 use crate::checksum::crc32;
 use crate::error::{CodecError, Result};
 use crate::{Codec, CodecScratch};
+use std::ops::Range;
 
 const MAGIC: [u8; 2] = [0x1f, 0x8b];
 const METHOD_DEFLATE: u8 = 8;
@@ -40,17 +41,50 @@ impl Gzip {
         }
     }
 
-    /// Compress into a gzip member.
-    pub fn compress_bytes(&self, input: &[u8]) -> Result<Vec<u8>> {
-        self.compress_bytes_with(input, &mut EncoderScratch::new())
+    /// Extract the FNAME field of a gzip member, if present.
+    pub fn read_file_name(input: &[u8]) -> Result<Option<Vec<u8>>> {
+        let (name, _) = walk_header(input)?;
+        Ok(name.and_then(|range| input.get(range)).map(<[u8]>::to_vec))
+    }
+}
+
+/// Walk a member's fixed header and its optional FEXTRA, FNAME and FCOMMENT
+/// fields: the range of the FNAME bytes (NUL excluded), if present, and the
+/// offset just past the optional fields, where the DEFLATE body starts.
+fn walk_header(input: &[u8]) -> Result<(Option<Range<usize>>, usize)> {
+    if input.len() < 10 || input[0..2] != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    let flags = input[3];
+    let mut pos = 10usize;
+    if flags & FEXTRA != 0 {
+        let xlen = u16::from_le_bytes(crate::read_array(input, pos)?);
+        pos += 2 + xlen as usize;
+    }
+    let mut name = None;
+    for field in [FNAME, FCOMMENT] {
+        if flags & field != 0 {
+            let nul = input
+                .get(pos..)
+                .ok_or(CodecError::Truncated)?
+                .iter()
+                .position(|&b| b == 0)
+                .ok_or(CodecError::Truncated)?;
+            if field == FNAME {
+                name = Some(pos..pos + nul);
+            }
+            pos += nul + 1;
+        }
+    }
+    Ok((name, pos))
+}
+
+impl Codec for Gzip {
+    fn name(&self) -> &'static str {
+        "gzip"
     }
 
-    /// Compress into a gzip member, reusing `scratch` for match-finder state.
-    pub fn compress_bytes_with(
-        &self,
-        input: &[u8],
-        scratch: &mut EncoderScratch,
-    ) -> Result<Vec<u8>> {
+    fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(input.len() / 2 + 32);
         out.extend_from_slice(&MAGIC);
         out.push(METHOD_DEFLATE);
@@ -76,33 +110,23 @@ impl Gzip {
             out.extend_from_slice(name);
             out.push(0);
         }
-        super::deflate_into(input, self.level, scratch, &mut out);
+        super::deflate_into(input, self.level, &mut scratch.deflate, &mut out);
         out.extend_from_slice(&crc32(input).to_le_bytes());
         out.extend_from_slice(&(input.len() as u32).to_le_bytes());
         Ok(out)
     }
 
-    /// Decompress a gzip member, verifying CRC-32 and ISIZE.
-    pub fn decompress_bytes(&self, input: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(input.len().saturating_mul(3));
-        self.decompress_bytes_into(input, &mut decode::InflateScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
-    /// Decompress a gzip member into `out` (cleared first, capacity kept),
-    /// reusing `scratch` for the inflater's Huffman tables.
-    fn decompress_bytes_into(
+    /// Verifies the CRC-32 and ISIZE trailer.
+    fn decompress_into(
         &self,
         input: &[u8],
-        scratch: &mut decode::InflateScratch,
+        scratch: &mut CodecScratch,
         out: &mut Vec<u8>,
     ) -> Result<()> {
         if input.len() < 18 {
             return Err(CodecError::Truncated);
         }
-        if input[0..2] != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
+        let (_, pos) = walk_header(input)?;
         if input[2] != METHOD_DEFLATE {
             return Err(CodecError::Corrupt("gzip method is not deflate"));
         }
@@ -110,41 +134,17 @@ impl Gzip {
         if flags & FHCRC != 0 {
             return Err(CodecError::Corrupt("gzip FHCRC not supported"));
         }
-        let mut pos = 10usize;
-        if flags & FEXTRA != 0 {
-            if pos + 2 > input.len() {
-                return Err(CodecError::Truncated);
-            }
-            let xlen = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
-            pos += 2 + xlen;
-            if pos > input.len() {
-                return Err(CodecError::Truncated);
-            }
-        }
-        for field in [FNAME, FCOMMENT] {
-            if flags & field != 0 {
-                let nul = input
-                    .get(pos..)
-                    .ok_or(CodecError::Truncated)?
-                    .iter()
-                    .position(|&b| b == 0)
-                    .ok_or(CodecError::Truncated)?;
-                pos += nul + 1;
-            }
-        }
         let _ = flags & FTEXT; // advisory only
         if pos + 8 > input.len() {
             return Err(CodecError::Truncated);
         }
         let body = &input[pos..input.len() - 8];
         out.clear();
-        decode::inflate_with(body, scratch, out)?;
-        let stored_crc = u32::from_le_bytes(
-            crate::read_array(input, input.len() - 8).ok_or(CodecError::Truncated)?,
-        );
-        let stored_isize = u32::from_le_bytes(
-            crate::read_array(input, input.len() - 4).ok_or(CodecError::Truncated)?,
-        );
+        // As in `Zlib`: room for a typical plaintext up front.
+        out.reserve(input.len().saturating_mul(3));
+        decode::inflate_with(body, &mut scratch.inflate, out)?;
+        let stored_crc = u32::from_le_bytes(crate::read_array(input, input.len() - 8)?);
+        let stored_isize = u32::from_le_bytes(crate::read_array(input, input.len() - 4)?);
         let actual = crc32(out);
         if stored_crc != actual {
             return Err(CodecError::ChecksumMismatch {
@@ -160,58 +160,6 @@ impl Gzip {
         }
         Ok(())
     }
-
-    /// Extract the FNAME field of a gzip member, if present.
-    pub fn read_file_name(input: &[u8]) -> Result<Option<Vec<u8>>> {
-        if input.len() < 10 || input[0..2] != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let flags = input[3];
-        if flags & FNAME == 0 {
-            return Ok(None);
-        }
-        let mut pos = 10usize;
-        if flags & FEXTRA != 0 {
-            if pos + 2 > input.len() {
-                return Err(CodecError::Truncated);
-            }
-            let xlen = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
-            pos += 2 + xlen;
-        }
-        let name_region = input.get(pos..).ok_or(CodecError::Truncated)?;
-        let nul = name_region
-            .iter()
-            .position(|&b| b == 0)
-            .ok_or(CodecError::Truncated)?;
-        Ok(Some(name_region[..nul].to_vec()))
-    }
-}
-
-impl Codec for Gzip {
-    fn name(&self) -> &'static str {
-        "gzip"
-    }
-
-    fn compress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        self.compress_bytes(input)
-    }
-
-    fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>> {
-        self.compress_bytes_with(input, &mut scratch.deflate)
-    }
-
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        self.decompress_bytes(input)
-    }
-
-    fn decompress_into(
-        &self,
-        input: &[u8],
-        scratch: &mut CodecScratch,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        self.decompress_bytes_into(input, &mut scratch.inflate, out)
-    }
 }
 
 #[cfg(test)]
@@ -222,16 +170,14 @@ mod tests {
     fn roundtrip_plain() {
         let g = Gzip::default();
         for data in [&b""[..], b"x", b"hello hello hello hello", &[7u8; 9000]] {
-            let comp = g.compress_bytes(data).unwrap();
-            assert_eq!(g.decompress_bytes(&comp).unwrap(), data);
+            let comp = g.compress(data).unwrap();
+            assert_eq!(g.decompress(&comp).unwrap(), data);
         }
     }
 
     #[test]
     fn header_fields_are_rfc1952() {
-        let comp = Gzip::with_level(Level::Best)
-            .compress_bytes(b"abc")
-            .unwrap();
+        let comp = Gzip::with_level(Level::Best).compress(b"abc").unwrap();
         assert_eq!(&comp[0..2], &[0x1f, 0x8b]);
         assert_eq!(comp[2], 8); // deflate
         assert_eq!(comp[8], 2); // XFL: max compression
@@ -249,14 +195,14 @@ mod tests {
             level: Level::Default,
             file_name: Some(b"checkpoint_0042.bin".to_vec()),
         };
-        let comp = g.compress_bytes(b"payload payload").unwrap();
+        let comp = g.compress(b"payload payload").unwrap();
         assert_eq!(
             Gzip::read_file_name(&comp).unwrap().as_deref(),
             Some(&b"checkpoint_0042.bin"[..])
         );
-        assert_eq!(g.decompress_bytes(&comp).unwrap(), b"payload payload");
+        assert_eq!(g.decompress(&comp).unwrap(), b"payload payload");
         // A name-less member reports None.
-        let plain = Gzip::default().compress_bytes(b"x").unwrap();
+        let plain = Gzip::default().compress(b"x").unwrap();
         assert_eq!(Gzip::read_file_name(&plain).unwrap(), None);
     }
 
@@ -266,43 +212,40 @@ mod tests {
             level: Level::Default,
             file_name: Some(b"bad\0name".to_vec()),
         };
-        assert!(g.compress_bytes(b"x").is_err());
+        assert!(g.compress(b"x").is_err());
     }
 
     #[test]
     fn crc_and_isize_guard_payload() {
         let g = Gzip::default();
-        let mut comp = g.compress_bytes(&vec![3u8; 5000]).unwrap();
+        let mut comp = g.compress(&vec![3u8; 5000]).unwrap();
         let n = comp.len();
         comp[n - 6] ^= 1; // CRC byte
-        assert!(g.decompress_bytes(&comp).is_err());
+        assert!(g.decompress(&comp).is_err());
 
-        let mut comp = g.compress_bytes(&vec![3u8; 5000]).unwrap();
+        let mut comp = g.compress(&vec![3u8; 5000]).unwrap();
         let n = comp.len();
         comp[n - 1] ^= 1; // ISIZE byte
-        assert!(g.decompress_bytes(&comp).is_err());
+        assert!(g.decompress(&comp).is_err());
     }
 
     #[test]
     fn rejects_foreign_magic_and_method() {
         let g = Gzip::default();
-        let mut comp = g.compress_bytes(b"x").unwrap();
+        let mut comp = g.compress(b"x").unwrap();
         comp[0] = 0x78;
-        assert!(matches!(
-            g.decompress_bytes(&comp),
-            Err(CodecError::BadMagic)
-        ));
-        let mut comp = g.compress_bytes(b"x").unwrap();
+        assert!(matches!(g.decompress(&comp), Err(CodecError::BadMagic)));
+        let mut comp = g.compress(b"x").unwrap();
         comp[2] = 7;
-        assert!(g.decompress_bytes(&comp).is_err());
+        assert!(g.decompress(&comp).is_err());
     }
 
     #[test]
     fn truncation_detected() {
         let g = Gzip::default();
-        let comp = g.compress_bytes(b"some data to be framed").unwrap();
+        let comp = g.compress(b"some data to be framed").unwrap();
         for keep in [0usize, 5, 12, comp.len() - 4] {
-            assert!(g.decompress_bytes(&comp[..keep]).is_err());
+            assert!(g.decompress(&comp[..keep]).is_err());
         }
     }
 }

@@ -156,27 +156,21 @@ impl Level {
 
 /// Compress `input` into a raw DEFLATE stream (no container).
 ///
-/// One-shot convenience over [`deflate_with`]; allocates a fresh
-/// [`EncoderScratch`] per call. Hot paths (the pipeline's per-chunk loop)
-/// should hold a scratch and call [`deflate_with`] instead.
+/// One-shot convenience over [`deflate_into`]; allocates a fresh
+/// [`EncoderScratch`] per call. Hot paths (the containers behind the
+/// pipeline's per-chunk loop) hold a scratch and call [`deflate_into`].
 pub fn deflate(input: &[u8], level: Level) -> Vec<u8> {
-    let mut scratch = EncoderScratch::new();
-    deflate_with(input, level, &mut scratch)
-}
-
-/// Compress `input` into a raw DEFLATE stream, reusing `scratch` for all
-/// match-finder state. Steady-state calls (same or smaller input length)
-/// perform no tokenizer heap allocation.
-pub fn deflate_with(input: &[u8], level: Level, scratch: &mut EncoderScratch) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() + input.len() / 250 + 64);
-    deflate_into(input, level, scratch, &mut out);
+    deflate_into(input, level, &mut EncoderScratch::new(), &mut out);
     out
 }
 
-/// [`deflate_with`], appending the stream to `out` (which must be
-/// byte-aligned). The containers (zlib, gzip) use this so the multi-megabyte
-/// DEFLATE body lands directly in the container buffer instead of being
-/// produced in a temporary and copied across.
+/// Compress `input` into a raw DEFLATE stream appended to `out` (which must
+/// be byte-aligned), reusing `scratch` for all match-finder state:
+/// steady-state calls (same or smaller input length) perform no tokenizer
+/// heap allocation. The containers (zlib, gzip) use this so the
+/// multi-megabyte DEFLATE body lands directly in the container buffer
+/// instead of being produced in a temporary and copied across.
 pub fn deflate_into(input: &[u8], level: Level, scratch: &mut EncoderScratch, out: &mut Vec<u8>) {
     // Spans are named `deflate.encode`/`deflate.decode` (the latter in
     // `decode::inflate_with`) — distinct from the pipeline-level "deflate"

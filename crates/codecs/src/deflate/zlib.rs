@@ -1,7 +1,7 @@
 //! The zlib container (RFC 1950): a 2-byte header, a DEFLATE stream, and a
 //! big-endian Adler-32 of the uncompressed data.
 
-use super::{decode, EncoderScratch, Level};
+use super::{decode, Level};
 use crate::checksum::adler32;
 use crate::error::{CodecError, Result};
 use crate::{Codec, CodecScratch};
@@ -27,14 +27,18 @@ impl Zlib {
     pub fn with_level(level: Level) -> Self {
         Self { level }
     }
+}
 
-    /// Compress into a zlib stream.
-    pub fn compress_bytes(&self, input: &[u8]) -> Vec<u8> {
-        self.compress_bytes_with(input, &mut EncoderScratch::new())
+impl Codec for Zlib {
+    fn name(&self) -> &'static str {
+        match self.level {
+            Level::Fast => "zlib-1",
+            Level::Default => "zlib",
+            Level::Best => "zlib-9",
+        }
     }
 
-    /// Compress into a zlib stream, reusing `scratch` for match-finder state.
-    pub fn compress_bytes_with(&self, input: &[u8], scratch: &mut EncoderScratch) -> Vec<u8> {
+    fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>> {
         // Header + worst-case stored-block expansion + trailer, reserved up
         // front; the encoder appends the body directly (no finished-stream
         // copy, no doubling growth while it is written).
@@ -55,25 +59,16 @@ impl Zlib {
         }
         out.push(cmf);
         out.push(flg);
-        super::deflate_into(input, self.level, scratch, &mut out);
+        super::deflate_into(input, self.level, &mut scratch.deflate, &mut out);
         out.extend_from_slice(&adler32(input).to_be_bytes());
-        out
-    }
-
-    /// Decompress a zlib stream, verifying header and Adler-32 trailer.
-    pub fn decompress_bytes(&self, input: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(input.len().saturating_mul(3));
-        self.decompress_bytes_into(input, &mut decode::InflateScratch::new(), &mut out)?;
         Ok(out)
     }
 
-    /// Decompress a zlib stream into `out` (cleared first, capacity kept),
-    /// reusing `scratch` for the inflater's Huffman tables. A warm call on a
-    /// sufficiently-large `out` performs no allocations.
-    pub fn decompress_bytes_into(
+    /// Verifies the header and the Adler-32 trailer.
+    fn decompress_into(
         &self,
         input: &[u8],
-        scratch: &mut decode::InflateScratch,
+        scratch: &mut CodecScratch,
         out: &mut Vec<u8>,
     ) -> Result<()> {
         if input.len() < 6 {
@@ -95,10 +90,11 @@ impl Zlib {
         }
         let body = &input[2..input.len() - 4];
         out.clear();
-        decode::inflate_with(body, scratch, out)?;
-        let stored = u32::from_be_bytes(
-            crate::read_array(input, input.len() - 4).ok_or(CodecError::Truncated)?,
-        );
+        // A one-shot call arrives with an empty `out`; three times the
+        // stream covers most plaintexts without doubling growth.
+        out.reserve(input.len().saturating_mul(3));
+        decode::inflate_with(body, &mut scratch.inflate, out)?;
+        let stored = u32::from_be_bytes(crate::read_array(input, input.len() - 4)?);
         let actual = adler32(out);
         if stored != actual {
             return Err(CodecError::ChecksumMismatch {
@@ -110,49 +106,18 @@ impl Zlib {
     }
 }
 
-impl Codec for Zlib {
-    fn name(&self) -> &'static str {
-        match self.level {
-            Level::Fast => "zlib-1",
-            Level::Default => "zlib",
-            Level::Best => "zlib-9",
-        }
-    }
-
-    fn compress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        Ok(self.compress_bytes(input))
-    }
-
-    fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>> {
-        Ok(self.compress_bytes_with(input, &mut scratch.deflate))
-    }
-
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        self.decompress_bytes(input)
-    }
-
-    fn decompress_into(
-        &self,
-        input: &[u8],
-        scratch: &mut CodecScratch,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        self.decompress_bytes_into(input, &mut scratch.inflate, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn header_is_standard_78_9c() {
-        let out = Zlib::default().compress_bytes(b"x");
+        let out = Zlib::default().compress(b"x").unwrap();
         assert_eq!(out[0], 0x78);
         assert_eq!(out[1], 0x9c);
         // FLEVEL follows the level, as zlib's own `-1` and `-9` write it.
         for (level, flg) in [(Level::Fast, 0x01), (Level::Best, 0xda)] {
-            let out = Zlib::with_level(level).compress_bytes(b"x");
+            let out = Zlib::with_level(level).compress(b"x").unwrap();
             assert_eq!(out[..2], [0x78, flg], "{level:?}");
         }
     }
@@ -166,29 +131,29 @@ mod tests {
             b"hello world hello world hello world",
             &[0u8; 5000][..],
         ] {
-            let comp = z.compress_bytes(data);
-            assert_eq!(z.decompress_bytes(&comp).unwrap(), data);
+            let comp = z.compress(data).unwrap();
+            assert_eq!(z.decompress(&comp).unwrap(), data);
         }
     }
 
     #[test]
     fn detects_payload_corruption() {
         let z = Zlib::default();
-        let mut comp = z.compress_bytes(&vec![3u8; 10_000]);
+        let mut comp = z.compress(&vec![3u8; 10_000]).unwrap();
         // Flip a bit somewhere in the deflate body.
         let mid = comp.len() / 2;
         comp[mid] ^= 0x10;
-        assert!(z.decompress_bytes(&comp).is_err());
+        assert!(z.decompress(&comp).is_err());
     }
 
     #[test]
     fn detects_trailer_corruption() {
         let z = Zlib::default();
-        let mut comp = z.compress_bytes(b"check the adler trailer");
+        let mut comp = z.compress(b"check the adler trailer").unwrap();
         let n = comp.len();
         comp[n - 1] ^= 0xff;
         assert!(matches!(
-            z.decompress_bytes(&comp),
+            z.decompress(&comp),
             Err(CodecError::ChecksumMismatch { .. })
         ));
     }
@@ -196,18 +161,18 @@ mod tests {
     #[test]
     fn rejects_bad_header() {
         let z = Zlib::default();
-        assert!(z.decompress_bytes(&[0x79, 0x9c, 0, 0, 0, 1]).is_err());
-        assert!(z.decompress_bytes(&[0x78]).is_err());
+        assert!(z.decompress(&[0x79, 0x9c, 0, 0, 0, 1]).is_err());
+        assert!(z.decompress(&[0x78]).is_err());
     }
 
     #[test]
     fn levels_trade_ratio_for_speed() {
         // On repetitive data, Best must not be worse than Fast.
         let data: Vec<u8> = (0..200_000u32).map(|i| ((i / 50) % 251) as u8).collect();
-        let fast = Zlib::with_level(Level::Fast).compress_bytes(&data);
-        let best = Zlib::with_level(Level::Best).compress_bytes(&data);
+        let fast = Zlib::with_level(Level::Fast).compress(&data).unwrap();
+        let best = Zlib::with_level(Level::Best).compress(&data).unwrap();
         assert!(best.len() <= fast.len());
-        assert_eq!(Zlib::default().decompress_bytes(&fast).unwrap(), data);
-        assert_eq!(Zlib::default().decompress_bytes(&best).unwrap(), data);
+        assert_eq!(Zlib::default().decompress(&fast).unwrap(), data);
+        assert_eq!(Zlib::default().decompress(&best).unwrap(), data);
     }
 }

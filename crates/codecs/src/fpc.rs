@@ -10,7 +10,11 @@
 //! then only the nonzero residual tail bytes.
 //!
 //! Stream layout: `magic "FPC1" | u8 table_log2 | varint count | header
-//! nibbles (2 values per byte) | residual bytes | crc32(payload doubles)`.
+//! nibbles (2 values per byte) | residual bytes | crc32(payload doubles) |
+//! raw tail bytes | varint tail length`. The tail is what is left of the
+//! input after its whole doubles (0–7 bytes), so every byte string has a
+//! stream; the typed [`Fpc::compress_f64`] writes the same format with an
+//! empty tail.
 //!
 //! Every stream starts from all-zero tables. Callers without a scratch get
 //! fresh tables per call; [`Codec::compress_with`] and
@@ -310,8 +314,7 @@ fn decode(frame: &Frame<'_>, mut pred: Predictors<'_>, out: &mut Vec<u8>) -> Res
     if pos != body_end {
         return Err(CodecError::Corrupt("fpc trailing residual bytes"));
     }
-    let stored =
-        u32::from_le_bytes(crate::read_array(input, body_end).ok_or(CodecError::Truncated)?);
+    let stored = u32::from_le_bytes(crate::read_array(input, body_end)?);
     let actual_crc = crc32(&out[start..]);
     if stored != actual_crc {
         return Err(CodecError::ChecksumMismatch {
@@ -323,83 +326,76 @@ fn decode(frame: &Frame<'_>, mut pred: Predictors<'_>, out: &mut Vec<u8>) -> Res
 }
 
 impl Fpc {
-    /// Compress a raw little-endian stream of f64 bit patterns. The input
-    /// length must be a multiple of 8.
-    pub fn compress_bytes(&self, input: &[u8]) -> Result<Vec<u8>> {
+    /// The stream of `input`: its whole doubles coded on `scratch`'s tables
+    /// when it keeps this size and on fresh ones otherwise, then the raw
+    /// tail bytes and their count.
+    fn compress_framed(&self, input: &[u8], scratch: Option<&mut FpcScratch>) -> Vec<u8> {
+        let (doubles, tail) = input.split_at(input.len() / 8 * 8);
         let mut out = Vec::with_capacity(max_stream_len(input.len()));
-        self.encode_into(input, None, &mut out)?;
-        Ok(out)
-    }
-
-    /// Decompress a stream produced by [`Fpc::compress_bytes`].
-    pub fn decompress_bytes(&self, input: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        decode_into(input, None, &mut out)?;
-        Ok(out)
-    }
-
-    /// Append the stream of `input` (whole doubles) to `out`, on `scratch`'s
-    /// tables when it keeps this size and on fresh ones otherwise.
-    fn encode_into(
-        &self,
-        input: &[u8],
-        scratch: Option<&mut FpcScratch>,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        if !input.len().is_multiple_of(8) {
-            return Err(CodecError::InvalidParameter(
-                "fpc input must be a multiple of 8 bytes",
-            ));
-        }
         match scratch.and_then(|s| s.tables(self.table_log2)) {
             Some((fcm, dfcm)) => {
-                encode(input, self.table_log2, Predictors::new(fcm, dfcm), out);
-                clear(fcm, dfcm, input);
+                encode(
+                    doubles,
+                    self.table_log2,
+                    Predictors::new(fcm, dfcm),
+                    &mut out,
+                );
+                clear(fcm, dfcm, doubles);
             }
             None => {
                 let (mut fcm, mut dfcm) = fresh_tables(self.table_log2);
                 encode(
-                    input,
+                    doubles,
                     self.table_log2,
                     Predictors::new(&mut fcm, &mut dfcm),
-                    out,
+                    &mut out,
                 );
             }
         }
-        Ok(())
-    }
-
-    /// The [`Codec`] framing: the stream of the whole doubles, then the raw
-    /// tail bytes and their count.
-    fn compress_framed(&self, input: &[u8], scratch: Option<&mut FpcScratch>) -> Result<Vec<u8>> {
-        let whole = input.len() / 8 * 8;
-        let mut out = Vec::with_capacity(max_stream_len(input.len()));
-        self.encode_into(&input[..whole], scratch, &mut out)?;
-        out.extend_from_slice(&input[whole..]);
-        write_varint(&mut out, (input.len() - whole) as u64);
-        Ok(out)
+        out.extend_from_slice(tail);
+        write_varint(&mut out, tail.len() as u64);
+        out
     }
 
     /// Convenience: compress a slice of doubles.
     pub fn compress_f64(&self, values: &[f64]) -> Result<Vec<u8>> {
         let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.compress_bytes(&bytes)
+        self.compress(&bytes)
     }
 
-    /// Convenience: decompress into doubles.
+    /// Convenience: decompress into doubles. A stream whose plaintext ends
+    /// in a partial double is rejected.
     pub fn decompress_f64(&self, input: &[u8]) -> Result<Vec<f64>> {
-        let bytes = self.decompress_bytes(input)?;
+        let bytes = self.decompress(input)?;
+        if !bytes.len().is_multiple_of(8) {
+            return Err(CodecError::InvalidParameter(
+                "fpc stream does not hold whole doubles",
+            ));
+        }
         Ok(doubles(&bytes).map(f64::from_bits).collect())
     }
 }
 
-/// Decode the stream `input` onto the end of `out`, on `scratch`'s tables
-/// when it keeps the size the stream names and on fresh ones otherwise.
-fn decode_into(input: &[u8], scratch: Option<&mut FpcScratch>, out: &mut Vec<u8>) -> Result<()> {
-    let frame = Frame::parse(input)?;
-    // `count` is untrusted, so the reservation is clamped; the 7 extra bytes
-    // leave room for the raw tail `Codec::decompress` appends.
-    out.reserve(crate::clamped_capacity((frame.count as u64).saturating_mul(8)) + 7);
+/// Reverse [`Fpc::compress_framed`] onto the end of `out`, on `scratch`'s
+/// tables when it keeps the size the stream names and on fresh ones
+/// otherwise.
+fn decompress_framed(
+    input: &[u8],
+    scratch: Option<&mut FpcScratch>,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let Some((&tail_len, rest)) = input.split_last() else {
+        return Err(CodecError::Truncated);
+    };
+    // The tail varint is a single byte (< 8).
+    let tail_len = tail_len as usize;
+    if tail_len >= 8 || rest.len() < tail_len {
+        return Err(CodecError::Corrupt("fpc tail length invalid"));
+    }
+    let (body, tail) = rest.split_at(rest.len() - tail_len);
+    let frame = Frame::parse(body)?;
+    // `count` is untrusted, so the reservation is clamped.
+    out.reserve(crate::clamped_capacity((frame.count as u64).saturating_mul(8)) + tail_len);
     let start = out.len();
     match scratch.and_then(|s| s.tables(frame.table_log2)) {
         Some((fcm, dfcm)) => {
@@ -411,26 +407,7 @@ fn decode_into(input: &[u8], scratch: Option<&mut FpcScratch>, out: &mut Vec<u8>
             let (mut fcm, mut dfcm) = fresh_tables(frame.table_log2);
             decode(&frame, Predictors::new(&mut fcm, &mut dfcm), out)
         }
-    }
-}
-
-/// Reverse [`Fpc::compress_framed`] onto the end of `out`.
-fn decompress_framed(
-    input: &[u8],
-    scratch: Option<&mut FpcScratch>,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    let Some(&tail_len) = input.last() else {
-        return Err(CodecError::Truncated);
-    };
-    // The tail varint is a single byte (< 8).
-    let tail_len = tail_len as usize;
-    if tail_len >= 8 || input.len() < 1 + tail_len {
-        return Err(CodecError::Corrupt("fpc tail length invalid"));
-    }
-    let body = &input[..input.len() - 1 - tail_len];
-    let tail = &input[input.len() - 1 - tail_len..input.len() - 1];
-    decode_into(body, scratch, out)?;
+    }?;
     out.extend_from_slice(tail);
     Ok(())
 }
@@ -440,20 +417,8 @@ impl Codec for Fpc {
         "fpc"
     }
 
-    /// FPC operates on whole doubles; trailing bytes (input length not a
-    /// multiple of 8) are stored raw after the coded stream.
-    fn compress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        self.compress_framed(input, None)
-    }
-
     fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>> {
-        self.compress_framed(input, Some(&mut scratch.fpc))
-    }
-
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        decompress_framed(input, None, &mut out)?;
-        Ok(out)
+        Ok(self.compress_framed(input, Some(&mut scratch.fpc)))
     }
 
     fn decompress_into(
@@ -464,6 +429,19 @@ impl Codec for Fpc {
     ) -> Result<()> {
         out.clear();
         decompress_framed(input, Some(&mut scratch.fpc), out)
+    }
+
+    /// Codes on fresh tables: a throwaway scratch would have to clear its
+    /// tables after the call as well.
+    fn compress(&self, input: &[u8]) -> Result<Vec<u8>> {
+        Ok(self.compress_framed(input, None))
+    }
+
+    /// Decodes on fresh tables, as [`Codec::compress`] does.
+    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        decompress_framed(input, None, &mut out)?;
+        Ok(out)
     }
 }
 
@@ -574,19 +552,33 @@ mod tests {
     }
 
     #[test]
+    fn typed_and_byte_interfaces_read_each_other() {
+        let fpc = Fpc::default();
+        let values = smooth_series(1000);
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let stream = fpc.compress(&bytes).unwrap();
+        assert_eq!(fpc.compress_f64(&values).unwrap(), stream);
+        assert_eq!(fpc.decompress_f64(&stream).unwrap(), values);
+        assert_eq!(
+            fpc.decompress(&fpc.compress_f64(&values).unwrap()).unwrap(),
+            bytes
+        );
+        // A ragged plaintext has no typed form.
+        let ragged = fpc.compress(&bytes[..bytes.len() - 3]).unwrap();
+        assert!(fpc.decompress_f64(&ragged).is_err());
+    }
+
+    #[test]
     fn rejects_corruption_and_bad_magic() {
         let fpc = Fpc::default();
         let comp = fpc.compress_f64(&smooth_series(1000)).unwrap();
         let mut bad = comp.clone();
         bad[0] = b'X';
-        assert!(matches!(
-            fpc.decompress_bytes(&bad),
-            Err(CodecError::BadMagic)
-        ));
+        assert!(matches!(fpc.decompress(&bad), Err(CodecError::BadMagic)));
         let mut bad = comp.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0xFF;
-        assert!(fpc.decompress_bytes(&bad).is_err());
+        assert!(fpc.decompress(&bad).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod range;
 
 use crate::checksum::crc32;
 use crate::error::{CodecError, Result};
-use crate::{read_varint, write_varint, Codec};
+use crate::{read_varint, write_varint, Codec, CodecScratch};
 use range::{BitTreeModel, RangeDecoder, RangeEncoder};
 
 const MAGIC: &[u8; 4] = b"FPZ1";
@@ -284,8 +284,7 @@ impl Fpz {
             .map(|&m| f64::from_bits(unmap_bits(m)))
             .collect();
         let raw: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let stored =
-            u32::from_le_bytes(crate::read_array(input, body_end).ok_or(CodecError::Truncated)?);
+        let stored = u32::from_le_bytes(crate::read_array(input, body_end)?);
         let actual = crc32(&raw);
         if stored != actual {
             return Err(CodecError::ChecksumMismatch {
@@ -297,6 +296,7 @@ impl Fpz {
     }
 }
 
+/// FPZ keeps no state between calls, so both methods ignore `scratch`.
 impl Codec for Fpz {
     fn name(&self) -> &'static str {
         "fpz"
@@ -304,7 +304,7 @@ impl Codec for Fpz {
 
     /// Byte interface: whole doubles are coded (always on a 1-D grid, since
     /// an arbitrary byte stream has no shape), a ragged tail is stored raw.
-    fn compress(&self, input: &[u8]) -> Result<Vec<u8>> {
+    fn compress_with(&self, input: &[u8], _scratch: &mut CodecScratch) -> Result<Vec<u8>> {
         let whole = input.len() / 8 * 8;
         let values: Vec<f64> = input
             .chunks_exact(8)
@@ -320,7 +320,12 @@ impl Codec for Fpz {
         Ok(out)
     }
 
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
+    fn decompress_into(
+        &self,
+        input: &[u8],
+        _scratch: &mut CodecScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         let tail_len = usize::from(*input.last().ok_or(CodecError::Truncated)?);
         if tail_len >= 8 || input.len() < 1 + tail_len {
             return Err(CodecError::Corrupt("fpz tail length invalid"));
@@ -329,9 +334,13 @@ impl Codec for Fpz {
         let body = input.get(..split).ok_or(CodecError::Truncated)?;
         let tail = input.get(split..input.len() - 1).unwrap_or(&[]);
         let values = Fpz::default().decompress_f64(body)?;
-        let mut out: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        out.clear();
+        out.reserve(values.len() * 8 + tail.len());
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
         out.extend_from_slice(tail);
-        Ok(out)
+        Ok(())
     }
 }
 

@@ -22,6 +22,9 @@
 //!
 //! All codecs implement the common [`Codec`] trait and produce self-framed
 //! streams: `decompress(compress(x)) == x` with no out-of-band metadata.
+//! Each codec has one encoder, one decoder and one stream format, reached
+//! through the trait's two required methods; the one-shot calls are defined
+//! once, here, on top of them.
 
 /// Bit-granular readers and writers shared by the entropy coders.
 pub mod bitio;
@@ -49,6 +52,10 @@ pub use error::{CodecError, Result};
 /// Implementations are self-framing: all metadata needed by
 /// [`Codec::decompress`] is embedded in the compressed stream itself.
 ///
+/// [`Codec::compress_with`] and [`Codec::decompress_into`] are the whole
+/// contract: every codec implements its one encoder and one decoder there,
+/// and the one-shot calls run them on a fresh [`CodecScratch`].
+///
 /// ```
 /// use primacy_codecs::{Codec, CodecKind};
 ///
@@ -61,44 +68,38 @@ pub trait Codec: Send + Sync {
     /// Short stable identifier, e.g. `"zlib"`, used in benchmark tables.
     fn name(&self) -> &'static str;
 
-    /// Compress `input` into a fresh buffer.
-    fn compress(&self, input: &[u8]) -> Result<Vec<u8>>;
-
     /// Compress `input`, reusing per-call working memory from `scratch`.
     ///
-    /// Produces bytes identical to [`Codec::compress`]; the only difference
-    /// is allocation behavior. Callers on a per-chunk hot path (the pipeline
-    /// keeps one [`CodecScratch`] per worker thread) should use this so
-    /// codecs that support scratch reuse skip their per-call set-up after the
-    /// first chunk: deflate-family dictionary and token buffers, FPC
-    /// predictor tables. The default implementation ignores `scratch` and
-    /// defers to `compress`.
-    fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>> {
-        let _ = scratch;
-        self.compress(input)
-    }
-
-    /// Reverse [`Codec::compress`].
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>>;
+    /// The bytes do not depend on what `scratch` holds. Callers on a
+    /// per-chunk hot path (the pipeline keeps one [`CodecScratch`] per
+    /// worker thread) keep one so codecs with reusable state skip their
+    /// per-call set-up after the first chunk: deflate-family dictionary and
+    /// token buffers, FPC predictor tables.
+    fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>>;
 
     /// Decompress `input`, reusing per-call working memory from `scratch`
     /// and writing the plaintext into `out` (cleared first, capacity kept).
     ///
-    /// The decode-side mirror of [`Codec::compress_with`]: output bytes are
-    /// identical to [`Codec::decompress`], only allocation behavior differs.
     /// Codecs with reusable decode state (deflate-family Huffman tables, FPC
-    /// predictor tables) override this so a warm call allocates nothing
-    /// beyond growing `out`; the default defers to `decompress` and copies.
+    /// predictor tables) keep it in `scratch`, so a warm call allocates
+    /// nothing beyond growing `out`.
     fn decompress_into(
         &self,
         input: &[u8],
         scratch: &mut CodecScratch,
         out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let _ = scratch;
-        out.clear();
-        out.extend_from_slice(&self.decompress(input)?);
-        Ok(())
+    ) -> Result<()>;
+
+    /// Compress `input` into a fresh buffer: [`Codec::compress_with`] on a
+    /// fresh scratch.
+    fn compress(&self, input: &[u8]) -> Result<Vec<u8>> {
+        self.compress_with(input, &mut CodecScratch::new())
+    }
+
+    /// Reverse [`Codec::compress`]: [`Codec::decompress_with`] on a fresh
+    /// scratch.
+    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
+        self.decompress_with(input, &mut CodecScratch::new())
     }
 
     /// Decompress into a fresh buffer while still reusing `scratch` state.
@@ -112,7 +113,7 @@ pub trait Codec: Send + Sync {
 }
 
 /// Reusable per-thread working memory for [`Codec::compress_with`] and
-/// [`Codec::decompress_into`].
+/// [`Codec::decompress_into`]. [`CodecScratch::new`] allocates nothing.
 ///
 /// A plain struct (not a trait object) so call sites can own one without
 /// knowing which codec will run; each codec family picks the field it needs.
@@ -199,19 +200,22 @@ pub(crate) fn clamped_capacity(claimed: u64) -> usize {
     claimed.min(CAP) as usize
 }
 
-/// Read a fixed-size array starting at `at`, or `None` if `at + N` is out of
-/// bounds (including overflow). The panic-free counterpart of
+/// Read a fixed-size array starting at `at`, or fail with
+/// [`CodecError::Truncated`] if `at + N` is out of bounds (including
+/// overflow). The panic-free counterpart of
 /// `buf[at..at + N].try_into().unwrap()` for untrusted input.
-pub(crate) fn read_array<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
-    let end = at.checked_add(N)?;
-    let s = buf.get(at..end)?;
+pub fn read_array<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N]> {
+    let s = at
+        .checked_add(N)
+        .and_then(|end| buf.get(at..end))
+        .ok_or(CodecError::Truncated)?;
     let mut a = [0u8; N];
     a.copy_from_slice(s);
-    Some(a)
+    Ok(a)
 }
 
 /// Write `v` as a LEB128 varint.
-pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -223,8 +227,10 @@ pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Read a LEB128 varint, returning `(value, bytes_consumed)`.
-pub(crate) fn read_varint(input: &[u8]) -> Result<(u64, usize)> {
+/// Read a LEB128 varint, returning `(value, bytes_consumed)`. Fails with
+/// [`CodecError::Truncated`] when `input` ends inside it and with
+/// [`CodecError::Corrupt`] when it runs past 64 bits.
+pub fn read_varint(input: &[u8]) -> Result<(u64, usize)> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     for (i, &b) in input.iter().enumerate() {

@@ -13,7 +13,7 @@
 
 use crate::checksum::crc32;
 use crate::error::{CodecError, Result};
-use crate::{read_varint, write_varint, Codec};
+use crate::{read_varint, write_varint, Codec, CodecScratch};
 
 const MAGIC: &[u8; 4] = b"LZR1";
 const MIN_MATCH: usize = 4;
@@ -33,46 +33,6 @@ fn hash4(data: &[u8], i: usize) -> usize {
 /// The codec object. LZR has no tuning parameters; construction is free.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Lzr;
-
-impl Lzr {
-    /// Compress `input`.
-    pub fn compress_bytes(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 32);
-        out.extend_from_slice(MAGIC);
-        write_varint(&mut out, input.len() as u64);
-        compress_body(input, &mut out);
-        out.extend_from_slice(&crc32(input).to_le_bytes());
-        out
-    }
-
-    /// Decompress a stream produced by [`Lzr::compress_bytes`].
-    pub fn decompress_bytes(&self, input: &[u8]) -> Result<Vec<u8>> {
-        if input.len() < MAGIC.len() + 4 {
-            return Err(CodecError::Truncated);
-        }
-        if input.get(..4) != Some(MAGIC.as_slice()) {
-            return Err(CodecError::BadMagic);
-        }
-        let (orig_len, used) = read_varint(input.get(4..).unwrap_or(&[]))?;
-        // A varint long enough to overlap the CRC trailer inverts this
-        // range; `get` turns that into a typed error instead of a panic.
-        let body = input
-            .get(4usize.saturating_add(used)..input.len() - 4)
-            .ok_or(CodecError::Truncated)?;
-        let out = decompress_body(body, orig_len as usize)?;
-        let stored = u32::from_le_bytes(
-            crate::read_array(input, input.len() - 4).ok_or(CodecError::Truncated)?,
-        );
-        let actual = crc32(&out);
-        if stored != actual {
-            return Err(CodecError::ChecksumMismatch {
-                expected: stored,
-                actual,
-            });
-        }
-        Ok(out)
-    }
-}
 
 fn write_extended(out: &mut Vec<u8>, mut v: usize) {
     while v >= 255 {
@@ -171,11 +131,14 @@ fn read_extended(body: &[u8], pos: &mut usize) -> Result<usize> {
     }
 }
 
-fn decompress_body(body: &[u8], orig_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(crate::clamped_capacity(orig_len as u64));
+/// Decode the sequences of `body` into `out` (cleared first), which must
+/// come to exactly `orig_len` bytes.
+fn decompress_body(body: &[u8], orig_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    out.clear();
+    out.reserve(crate::clamped_capacity(orig_len as u64));
     let mut pos = 0usize;
     if orig_len == 0 {
-        return Ok(out);
+        return Ok(());
     }
     loop {
         let token = *body.get(pos).ok_or(CodecError::Truncated)?;
@@ -193,8 +156,7 @@ fn decompress_body(body: &[u8], orig_len: usize) -> Result<Vec<u8>> {
             // Literal-only tail sequence terminates the stream.
             break;
         }
-        let offset =
-            u16::from_le_bytes(crate::read_array(body, pos).ok_or(CodecError::Truncated)?) as usize;
+        let offset = u16::from_le_bytes(crate::read_array(body, pos)?) as usize;
         pos += 2;
         let mut match_len = match_code - 1 + MIN_MATCH;
         if match_code == 15 {
@@ -227,20 +189,52 @@ fn decompress_body(body: &[u8], orig_len: usize) -> Result<Vec<u8>> {
             actual: out.len(),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
+/// LZR keeps no state between calls, so both methods ignore `scratch`.
 impl Codec for Lzr {
     fn name(&self) -> &'static str {
         "lzr"
     }
 
-    fn compress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        Ok(self.compress_bytes(input))
+    fn compress_with(&self, input: &[u8], _scratch: &mut CodecScratch) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(input.len() / 2 + 32);
+        out.extend_from_slice(MAGIC);
+        write_varint(&mut out, input.len() as u64);
+        compress_body(input, &mut out);
+        out.extend_from_slice(&crc32(input).to_le_bytes());
+        Ok(out)
     }
 
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        self.decompress_bytes(input)
+    fn decompress_into(
+        &self,
+        input: &[u8],
+        _scratch: &mut CodecScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        if input.len() < MAGIC.len() + 4 {
+            return Err(CodecError::Truncated);
+        }
+        if input.get(..4) != Some(MAGIC.as_slice()) {
+            return Err(CodecError::BadMagic);
+        }
+        let (orig_len, used) = read_varint(input.get(4..).unwrap_or(&[]))?;
+        // A varint long enough to overlap the CRC trailer inverts this
+        // range; `get` turns that into a typed error instead of a panic.
+        let body = input
+            .get(4usize.saturating_add(used)..input.len() - 4)
+            .ok_or(CodecError::Truncated)?;
+        decompress_body(body, orig_len as usize, out)?;
+        let stored = u32::from_le_bytes(crate::read_array(input, input.len() - 4)?);
+        let actual = crc32(out);
+        if stored != actual {
+            return Err(CodecError::ChecksumMismatch {
+                expected: stored,
+                actual,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -250,8 +244,8 @@ mod tests {
 
     fn roundtrip(data: &[u8]) {
         let lzr = Lzr;
-        let comp = lzr.compress_bytes(data);
-        assert_eq!(lzr.decompress_bytes(&comp).unwrap(), data);
+        let comp = lzr.compress(data).unwrap();
+        assert_eq!(lzr.decompress(&comp).unwrap(), data);
     }
 
     #[test]
@@ -279,7 +273,7 @@ mod tests {
     #[test]
     fn compresses_runs_heavily() {
         let data = vec![7u8; 1_000_000];
-        let comp = Lzr.compress_bytes(&data);
+        let comp = Lzr.compress(&data).unwrap();
         assert!(comp.len() < 5000, "run compressed to {} bytes", comp.len());
     }
 
@@ -292,7 +286,7 @@ mod tests {
                 (x >> 33) as u8
             })
             .collect();
-        let comp = Lzr.compress_bytes(&data);
+        let comp = Lzr.compress(&data).unwrap();
         // Worst case is ~ one token per 255 literals plus framing.
         assert!(comp.len() < data.len() + data.len() / 200 + 64);
     }
@@ -312,22 +306,19 @@ mod tests {
     #[test]
     fn rejects_corruption() {
         let data = b"payload payload payload payload".repeat(8);
-        let mut comp = Lzr.compress_bytes(&data);
+        let mut comp = Lzr.compress(&data).unwrap();
         let mid = comp.len() / 2;
         comp[mid] ^= 0x81;
-        assert!(Lzr.decompress_bytes(&comp).is_err());
+        assert!(Lzr.decompress(&comp).is_err());
     }
 
     #[test]
     fn rejects_bad_magic_and_truncation() {
-        let comp = Lzr.compress_bytes(b"hello");
+        let comp = Lzr.compress(b"hello").unwrap();
         let mut bad = comp.clone();
         bad[0] = b'X';
-        assert!(matches!(
-            Lzr.decompress_bytes(&bad),
-            Err(CodecError::BadMagic)
-        ));
-        assert!(Lzr.decompress_bytes(&comp[..3]).is_err());
+        assert!(matches!(Lzr.decompress(&bad), Err(CodecError::BadMagic)));
+        assert!(Lzr.decompress(&comp[..3]).is_err());
     }
 
     #[test]

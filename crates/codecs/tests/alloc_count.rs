@@ -2,9 +2,9 @@
 //! scratch has been warmed by one call, the LZ77 tokenizer must perform
 //! **zero** heap allocations for subsequent chunks of the same or smaller
 //! size — the hash-chain arrays and token buffer are reused, not
-//! reallocated — and so must FPC's, zlib's and gzip's `decompress_into`,
-//! while FPC's `compress_with` allocates exactly once, for the buffer it
-//! returns.
+//! reallocated — and so must FPC's, zlib's, gzip's and LZR's
+//! `decompress_into`, while FPC's `compress_with` allocates exactly once,
+//! for the buffer it returns.
 //!
 //! Verified with a counting global allocator. This file contains exactly one
 //! test so no sibling test thread can allocate inside the measured window
@@ -13,6 +13,7 @@
 use primacy_codecs::deflate::lz77::{tokenize_into, EncoderScratch};
 use primacy_codecs::deflate::{Gzip, Level, Zlib};
 use primacy_codecs::fpc::Fpc;
+use primacy_codecs::lzr::Lzr;
 use primacy_codecs::{Codec, CodecScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,7 +79,7 @@ fn chunk(len: usize, seed: u64) -> Vec<u8> {
 fn warm_scratch_calls_allocate_only_their_output() {
     tokenize_allocates_nothing();
     fpc_allocates_only_its_output();
-    deflate_containers_decode_without_allocating();
+    byte_decoders_decode_without_allocating();
 }
 
 fn tokenize_allocates_nothing() {
@@ -155,14 +156,19 @@ fn fpc_allocates_only_its_output() {
     }
 }
 
-/// Zlib and gzip decode through the caller's `InflateScratch`: once a pass
-/// over the streams has grown the scratch's tables and `out`, a second pass
-/// touches the allocator not at all.
-fn deflate_containers_decode_without_allocating() {
+/// Zlib and gzip decode through the caller's `InflateScratch`, and LZR
+/// straight into `out`: once a pass over the streams has grown the
+/// scratch's tables and `out`, a second pass touches the allocator not at
+/// all.
+fn byte_decoders_decode_without_allocating() {
     let inputs: Vec<Vec<u8>> = (0..4)
         .map(|i| chunk(16 * 1024 - i * 512, 0xDEC + i as u64))
         .collect();
-    let codecs: [Box<dyn Codec>; 2] = [Box::new(Zlib::default()), Box::new(Gzip::default())];
+    let codecs: [Box<dyn Codec>; 3] = [
+        Box::new(Zlib::default()),
+        Box::new(Gzip::default()),
+        Box::new(Lzr),
+    ];
     for codec in &codecs {
         let streams: Vec<Vec<u8>> = inputs.iter().map(|p| codec.compress(p).unwrap()).collect();
         let mut scratch = CodecScratch::new();

@@ -26,8 +26,8 @@ fn every_deflate_path_records_one_decode_span() {
         plaintext(11, 40_000),
     ];
     let raw = deflate(&plain[0], Level::Default);
-    let zlib = Zlib::default().compress_bytes(&plain[1]);
-    let gzip = Gzip::default().compress_bytes(&plain[2]).unwrap();
+    let zlib = Zlib::default().compress(&plain[1]).unwrap();
+    let gzip = Gzip::default().compress(&plain[2]).unwrap();
 
     trace::enable();
     assert_eq!(inflate(&raw).unwrap(), plain[0]);

@@ -6,29 +6,14 @@
 use primacy_codecs::bwt::BwtCodec;
 use primacy_codecs::fpz::{Fpz, MAX_ELEMENTS_PER_BYTE};
 use primacy_codecs::lzr::Lzr;
-use primacy_codecs::Codec;
-
-/// LEB128, matching the crate's internal framing.
-fn varint(mut v: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-    out
-}
+use primacy_codecs::{write_varint, Codec};
 
 #[test]
 fn fpz_rejects_implausible_element_count() {
     // Rank-1 stream claiming 2^40 doubles backed by a 16-byte payload.
     let mut stream = b"FPZ1".to_vec();
     stream.push(1); // rank
-    stream.extend_from_slice(&varint(1 << 40));
+    write_varint(&mut stream, 1 << 40);
     stream.extend_from_slice(&[0u8; 16]); // "payload"
     stream.extend_from_slice(&[0u8; 4]); // "crc"
     let err = Fpz::default().decompress_f64(&stream);
@@ -44,7 +29,7 @@ fn fpz_overrun_guard_stops_zero_synthesis() {
     let count = body_len * MAX_ELEMENTS_PER_BYTE;
     let mut stream = b"FPZ1".to_vec();
     stream.push(1);
-    stream.extend_from_slice(&varint(count as u64));
+    write_varint(&mut stream, count as u64);
     stream.extend_from_slice(&vec![0u8; body_len]);
     stream.extend_from_slice(&[0u8; 4]);
     let err = Fpz::default().decompress_f64(&stream);
@@ -56,17 +41,17 @@ fn lzr_huge_declared_length_fails_without_huge_allocation() {
     // Valid magic, orig_len = 2^50, then an empty-ish body: the decoder must
     // hit Truncated once the body runs dry, with its preallocation clamped.
     let mut stream = b"LZR1".to_vec();
-    stream.extend_from_slice(&varint(1 << 50));
+    write_varint(&mut stream, 1 << 50);
     stream.push(0x10); // one literal...
     stream.push(b'x'); // ...which leaves the stream short of its claim
     stream.extend_from_slice(&[0u8; 4]);
-    assert!(Lzr.decompress_bytes(&stream).is_err());
+    assert!(Lzr.decompress(&stream).is_err());
 }
 
 #[test]
 fn bwt_huge_declared_length_fails_without_huge_allocation() {
     let mut stream = b"BWT1".to_vec();
-    stream.extend_from_slice(&varint(1 << 50));
+    write_varint(&mut stream, 1 << 50);
     stream.extend_from_slice(&[0u8; 8]); // not enough blocks to satisfy it
     assert!(BwtCodec::default().decompress(&stream).is_err());
 }

@@ -28,7 +28,7 @@ use crate::par;
 use crate::pipeline::{self, DecodeScratch, PrimacyCompressor};
 use crate::stats::StageTimings;
 use primacy_codecs::checksum::crc32;
-use primacy_codecs::{Codec, CodecScratch};
+use primacy_codecs::{read_array, Codec, CodecScratch};
 use primacy_trace as trace;
 use std::io::Write;
 use std::sync::Arc;
@@ -352,18 +352,18 @@ impl<'a> ArchiveReader<'a> {
         let layout = format::read_layout(data, format::ARCHIVE_MAGIC)?;
         let footer_at = data.len() - FOOTER_LEN;
         let footer_magic: [u8; 4] =
-            format::read_array(data, footer_at + 16).ok_or(PrimacyError::Truncated)?;
+            read_array(data, footer_at + 16).map_err(|_| PrimacyError::Truncated)?;
         if footer_magic != *format::ARCHIVE_MAGIC {
             return Err(PrimacyError::Format("archive footer magic missing"));
         }
         let directory_offset =
-            u64::from_le_bytes(format::read_array(data, footer_at).ok_or(PrimacyError::Truncated)?)
+            u64::from_le_bytes(read_array(data, footer_at).map_err(|_| PrimacyError::Truncated)?)
                 as usize;
         let chunk_count = u32::from_le_bytes(
-            format::read_array(data, footer_at + 8).ok_or(PrimacyError::Truncated)?,
+            read_array(data, footer_at + 8).map_err(|_| PrimacyError::Truncated)?,
         ) as usize;
         let dir_crc = u32::from_le_bytes(
-            format::read_array(data, footer_at + 12).ok_or(PrimacyError::Truncated)?,
+            read_array(data, footer_at + 12).map_err(|_| PrimacyError::Truncated)?,
         );
         let dir_end = footer_at;
         let dir_len = chunk_count.checked_mul(20).ok_or(PrimacyError::Truncated)?;
@@ -382,14 +382,12 @@ impl<'a> ArchiveReader<'a> {
         for rec in dir.chunks_exact(20) {
             let entry = ChunkEntry {
                 offset: u64::from_le_bytes(
-                    format::read_array(rec, 0).ok_or(PrimacyError::Truncated)?,
+                    read_array(rec, 0).map_err(|_| PrimacyError::Truncated)?,
                 ),
                 elements: u64::from_le_bytes(
-                    format::read_array(rec, 8).ok_or(PrimacyError::Truncated)?,
+                    read_array(rec, 8).map_err(|_| PrimacyError::Truncated)?,
                 ),
-                crc: u32::from_le_bytes(
-                    format::read_array(rec, 16).ok_or(PrimacyError::Truncated)?,
-                ),
+                crc: u32::from_le_bytes(read_array(rec, 16).map_err(|_| PrimacyError::Truncated)?),
             };
             if entry.offset as usize >= directory_offset || entry.elements == 0 {
                 return Err(PrimacyError::Format("archive directory entry invalid"));
@@ -829,11 +827,11 @@ mod tests {
         // Clear chunk 1's own-index flag and cut its `varint k` and index
         // bytes; only the footer's directory offset moves, so the directory
         // and its CRC stay valid.
-        let (_, n_len) = format::read_varint(&archive[chunk1..]).unwrap();
+        let (_, n_len) = primacy_codecs::read_varint(&archive[chunk1..]).unwrap();
         let flags = chunk1 + n_len;
         assert_eq!(archive[flags], format::FLAG_OWN_INDEX);
         archive[flags] = 0;
-        let (k, k_len) = format::read_varint(&archive[flags + 1..]).unwrap();
+        let (k, k_len) = primacy_codecs::read_varint(&archive[flags + 1..]).unwrap();
         let cut = k_len + 2 * k as usize;
         archive.drain(flags + 1..flags + 1 + cut);
         let footer = footer - cut;

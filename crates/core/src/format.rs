@@ -23,7 +23,7 @@
 
 use crate::config::{Linearization, PrimacyConfig};
 use crate::error::{PrimacyError, Result};
-use primacy_codecs::CodecKind;
+use primacy_codecs::{read_array, read_varint, write_varint, CodecError, CodecKind};
 
 /// Stream magic.
 pub const MAGIC: &[u8; 4] = b"PRIM";
@@ -77,17 +77,6 @@ pub fn linearization_from_byte(b: u8) -> Result<Linearization> {
     })
 }
 
-/// Read a fixed-size array starting at `at`, or `None` if `at + N` is out of
-/// bounds (including overflow). The panic-free counterpart of
-/// `buf[at..at + N].try_into().unwrap()` for untrusted input.
-pub(crate) fn read_array<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
-    let end = at.checked_add(N)?;
-    let s = buf.get(at..end)?;
-    let mut a = [0u8; N];
-    a.copy_from_slice(s);
-    Some(a)
-}
-
 /// Decoded stream header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
@@ -132,8 +121,8 @@ pub fn write_layout(out: &mut Vec<u8>, magic: &[u8; 4], h: &Header) {
 /// Parse and validate the layout prefix under `magic`. The returned header's
 /// `total_elements` is 0; the caller reads its container's own count.
 pub fn read_layout(input: &[u8], magic: &[u8; 4]) -> Result<Header> {
-    let head: [u8; LAYOUT_LEN] =
-        read_array(input, 0).ok_or(PrimacyError::Format("input shorter than layout header"))?;
+    let head: [u8; LAYOUT_LEN] = read_array(input, 0)
+        .map_err(|_| PrimacyError::Format("input shorter than layout header"))?;
     let [m0, m1, m2, m3, version, es, hi, lin, codec_byte] = head;
     if [m0, m1, m2, m3] != *magic {
         return Err(PrimacyError::Format("bad magic"));
@@ -170,41 +159,19 @@ pub fn write_header(out: &mut Vec<u8>, h: &Header) {
 /// chunk.
 pub fn read_header(input: &[u8]) -> Result<(Header, usize)> {
     let mut header = read_layout(input, MAGIC)?;
-    let (total_elements, used) = read_varint(input.get(LAYOUT_LEN..).unwrap_or(&[]))?;
+    let (total_elements, used) =
+        read_varint(input.get(LAYOUT_LEN..).unwrap_or(&[])).map_err(varint_error)?;
     header.total_elements = total_elements;
     // A varint never exceeds 10 bytes, so the sum is exact.
     Ok((header, LAYOUT_LEN.saturating_add(used)))
 }
 
-/// LEB128 varint writer (shared with the codecs crate's framing).
-pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// LEB128 varint reader, returning `(value, bytes_consumed)`.
-pub fn read_varint(input: &[u8]) -> Result<(u64, usize)> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    for (i, &b) in input.iter().enumerate() {
-        if shift >= 64 {
-            return Err(PrimacyError::Format("varint overflow"));
-        }
-        // The guard above keeps shift < 64; wrapping_shl makes that explicit.
-        v |= u64::from(b & 0x7f).wrapping_shl(shift);
-        if b & 0x80 == 0 {
-            return Ok((v, i + 1));
-        }
-        shift += 7;
-    }
-    Err(PrimacyError::Format("truncated varint"))
+/// This crate's error for a varint the codecs crate's reader rejected.
+fn varint_error(e: CodecError) -> PrimacyError {
+    PrimacyError::Format(match e {
+        CodecError::Truncated => "truncated varint",
+        _ => "varint overflow",
+    })
 }
 
 /// Cursor over the chunk section of a stream.
@@ -234,7 +201,7 @@ impl<'a> Reader<'a> {
     /// Read one varint.
     pub fn varint(&mut self) -> Result<u64> {
         let window = self.input.get(self.pos..self.end).unwrap_or(&[]);
-        let (v, used) = read_varint(window)?;
+        let (v, used) = read_varint(window).map_err(varint_error)?;
         // used is bounded by the window length, so pos stays within end.
         self.pos = self.pos.saturating_add(used);
         Ok(v)
@@ -263,7 +230,7 @@ impl<'a> Reader<'a> {
             .ok_or(PrimacyError::Format("unexpected end of stream"))?;
         let v = u16::from_le_bytes(
             read_array(self.input, self.pos)
-                .ok_or(PrimacyError::Format("unexpected end of stream"))?,
+                .map_err(|_| PrimacyError::Format("unexpected end of stream"))?,
         );
         self.pos = end;
         Ok(v)

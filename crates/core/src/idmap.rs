@@ -150,20 +150,6 @@ impl IdMap {
         }
     }
 
-    /// Deserialize an index of `k` sequences.
-    pub fn deserialize(bytes: &[u8], k: usize, hi_bytes: usize) -> Result<Self> {
-        if bytes.len() != k * hi_bytes {
-            return Err(PrimacyError::Format("index size mismatch"));
-        }
-        let ranked: Vec<u16> = (0..k)
-            .map(|i| match hi_bytes {
-                1 => u16::from(bytes[i]),
-                _ => u16::from_be_bytes([bytes[i * 2], bytes[i * 2 + 1]]),
-            })
-            .collect();
-        Self::from_ranked(ranked, hi_bytes)
-    }
-
     /// A placeholder map with no sequences, suitable only as a target for
     /// [`IdMap::reload`]. Consistent (every lookup reports absent) but tiny:
     /// the full-size `id_for_seq` table is grown on first reload.
@@ -175,7 +161,10 @@ impl IdMap {
         }
     }
 
-    /// [`IdMap::deserialize`] into `self`, reusing its tables: clearing costs
+    /// Load the serialized index of `k` sequences (the bytes
+    /// [`IdMap::serialize`] writes) into `self`, reusing its tables. This is
+    /// the one parser of untrusted index bytes: it rejects a size mismatch
+    /// and a duplicate sequence. Clearing costs
     /// O(previous k) — the previous `seq_for_id` says exactly which
     /// `id_for_seq` slots are live — so a warm reload touches no memory
     /// proportional to the 65 536-entry domain and performs no allocations.
@@ -293,20 +282,22 @@ mod tests {
     }
 
     #[test]
-    fn serialize_deserialize_roundtrip() {
+    fn serialize_reload_roundtrip() {
         let m = map_for(&[9, 9, 9, 7, 7, 1, 2, 2, 2, 2]);
         let mut buf = Vec::new();
         m.serialize(&mut buf);
         assert_eq!(buf.len(), m.serialized_len());
-        let back = IdMap::deserialize(&buf, m.len(), 2).unwrap();
+        let mut back = IdMap::placeholder();
+        back.reload(&buf, m.len(), 2).unwrap();
         assert_eq!(back, m);
     }
 
     #[test]
-    fn deserialize_rejects_bad_sizes_and_duplicates() {
-        assert!(IdMap::deserialize(&[0, 1, 0], 2, 2).is_err());
+    fn reload_rejects_bad_sizes_and_duplicates() {
+        let mut scratch = IdMap::placeholder();
+        assert!(scratch.reload(&[0, 1, 0], 2, 2).is_err());
         // Duplicate sequence 0x0001 twice.
-        assert!(IdMap::deserialize(&[0, 1, 0, 1], 2, 2).is_err());
+        assert!(scratch.reload(&[0, 1, 0, 1], 2, 2).is_err());
     }
 
     #[test]
@@ -338,7 +329,9 @@ mod tests {
         assert_eq!(data, hi);
         let mut buf = Vec::new();
         m.serialize(&mut buf);
-        assert_eq!(IdMap::deserialize(&buf, 3, 1).unwrap(), m);
+        let mut back = IdMap::placeholder();
+        back.reload(&buf, 3, 1).unwrap();
+        assert_eq!(back, m);
     }
 
     #[test]
@@ -350,10 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn reload_matches_deserialize_across_widths() {
+    fn reload_matches_from_ranked_across_widths() {
         let mut scratch = IdMap::placeholder();
         // Successive reloads with different k, contents, and widths must land
-        // on exactly the same map deserialize would build from scratch.
+        // on exactly the map `from_ranked` builds from the same ranking,
+        // decoded here independently of `reload`.
         let cases: [(&[u8], usize, usize); 4] = [
             (&[0x3F, 0xF0, 0x40, 0x00, 0xC0, 0x00], 3, 2),
             (&[0x40, 0x00, 0x3F, 0xF0], 2, 2),
@@ -362,7 +356,12 @@ mod tests {
         ];
         for (bytes, k, hi_bytes) in cases {
             scratch.reload(bytes, k, hi_bytes).unwrap();
-            assert_eq!(scratch, IdMap::deserialize(bytes, k, hi_bytes).unwrap());
+            let ranked: Vec<u16> = bytes
+                .chunks(hi_bytes)
+                .map(|seq| seq.iter().fold(0, |acc, &b| (acc << 8) | u16::from(b)))
+                .collect();
+            assert_eq!(ranked.len(), k);
+            assert_eq!(scratch, IdMap::from_ranked(ranked, hi_bytes).unwrap());
         }
     }
 

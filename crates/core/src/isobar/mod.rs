@@ -126,22 +126,10 @@ pub fn partition(lo: &[u8], rows: usize, cols: usize, mask: u16) -> (Vec<u8>, Ve
     (compressible, incompressible)
 }
 
-/// Inverse of [`partition`]: sequential writes to the row-major output,
-/// reading from at most `cols` sequential column streams.
-pub fn unpartition(
-    compressible: &[u8],
-    incompressible: &[u8],
-    rows: usize,
-    cols: usize,
-    mask: u16,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    unpartition_into(compressible, incompressible, rows, cols, mask, &mut out);
-    out
-}
-
-/// [`unpartition`] into a caller-owned buffer (cleared first, capacity kept):
-/// a warm call on a sufficiently-large `out` performs no allocations.
+/// Inverse of [`partition`] into a caller-owned buffer (cleared first,
+/// capacity kept): sequential writes to the row-major output, reading from
+/// at most `cols` sequential column streams. A warm call on a
+/// sufficiently-large `out` performs no allocations.
 pub fn unpartition_into(
     compressible: &[u8],
     incompressible: &[u8],
@@ -280,11 +268,12 @@ mod tests {
     fn partition_unpartition_roundtrip() {
         let rows = 997;
         let m = mixed_matrix(rows);
+        let mut back = Vec::new();
         for mask in [0b000u16, 0b001, 0b010, 0b101, 0b111] {
             let (comp, incomp) = partition(&m, rows, 3, mask);
             assert_eq!(comp.len(), rows * mask.count_ones() as usize);
             assert_eq!(comp.len() + incomp.len(), m.len());
-            let back = unpartition(&comp, &incomp, rows, 3, mask);
+            unpartition_into(&comp, &incomp, rows, 3, mask, &mut back);
             assert_eq!(back, m, "mask {mask:03b}");
         }
     }

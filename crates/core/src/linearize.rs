@@ -80,23 +80,6 @@ pub fn to_rows_into(data: &[u8], rows: usize, cols: usize, out: &mut Vec<u8>) {
     }
 }
 
-/// Extract a single byte-column from a row-major matrix.
-pub fn extract_column(data: &[u8], rows: usize, cols: usize, col: usize) -> Vec<u8> {
-    assert!(col < cols);
-    assert_eq!(data.len(), rows * cols);
-    (0..rows).map(|r| data[r * cols + col]).collect()
-}
-
-/// Scatter a byte-column back into a row-major matrix.
-pub fn insert_column(data: &mut [u8], rows: usize, cols: usize, col: usize, values: &[u8]) {
-    assert!(col < cols);
-    assert_eq!(data.len(), rows * cols);
-    assert_eq!(values.len(), rows);
-    for (r, &b) in values.iter().enumerate() {
-        data[r * cols + col] = b;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,16 +135,6 @@ mod tests {
     fn empty_matrix() {
         assert!(to_columns(&[], 0, 2).is_empty());
         assert!(to_rows(&[], 0, 2).is_empty());
-    }
-
-    #[test]
-    fn column_extraction_and_insertion() {
-        let data = [10u8, 20, 30, 40, 50, 60]; // 2 rows × 3 cols
-        assert_eq!(extract_column(&data, 2, 3, 0), vec![10, 40]);
-        assert_eq!(extract_column(&data, 2, 3, 2), vec![30, 60]);
-        let mut copy = data.to_vec();
-        insert_column(&mut copy, 2, 3, 1, &[99, 98]);
-        assert_eq!(copy, vec![10, 99, 30, 40, 98, 60]);
     }
 
     #[test]

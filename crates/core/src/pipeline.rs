@@ -14,7 +14,7 @@ use crate::stats::{
     STAGE_LINEARIZE, STAGE_SPLIT,
 };
 use primacy_codecs::checksum::crc32;
-use primacy_codecs::{Codec, CodecScratch};
+use primacy_codecs::{read_array, write_varint, Codec, CodecScratch};
 use primacy_trace as trace;
 use std::time::{Duration, Instant};
 
@@ -267,17 +267,17 @@ impl PrimacyCompressor {
 
         // Emit the chunk section.
         let t = Instant::now();
-        format::write_varint(out, n as u64);
+        write_varint(out, n as u64);
         let flags = if own_index { format::FLAG_OWN_INDEX } else { 0 };
         out.push(flags);
         if own_index {
-            format::write_varint(out, state.map.len() as u64);
+            write_varint(out, state.map.len() as u64);
             state.map.serialize(out);
         }
-        format::write_varint(out, hi_comp.len() as u64);
+        write_varint(out, hi_comp.len() as u64);
         out.extend_from_slice(&hi_comp);
         out.extend_from_slice(&report.mask.to_le_bytes());
-        format::write_varint(out, lo_comp.len() as u64);
+        write_varint(out, lo_comp.len() as u64);
         out.extend_from_slice(&lo_comp);
         out.extend_from_slice(&incompressible);
         trace::span_duration("container.emit", t.elapsed());
@@ -366,7 +366,7 @@ impl PrimacyCompressor {
             return Err(PrimacyError::Format("trailing bytes after final chunk"));
         }
         let stored =
-            u32::from_le_bytes(format::read_array(input, body_end).ok_or(PrimacyError::Truncated)?);
+            u32::from_le_bytes(read_array(input, body_end).map_err(|_| PrimacyError::Truncated)?);
         let (actual, dt) = container_crc(&out);
         timings.codec += dt;
         if stored != actual {

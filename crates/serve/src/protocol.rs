@@ -32,7 +32,7 @@
 
 use std::io::Read;
 
-use primacy_codecs::CodecKind;
+use primacy_codecs::{read_array, CodecKind};
 
 /// First two body bytes of every frame, both directions.
 pub const MAGIC: [u8; 2] = [b'P', b's'];
@@ -334,20 +334,10 @@ pub struct Response {
     pub payload: Vec<u8>,
 }
 
-/// Read a fixed-size array at `at`, or `None` past the end — the panic-free
-/// slice-to-array read used by every field decoder here.
-fn read_array<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
-    let end = at.checked_add(N)?;
-    let s = buf.get(at..end)?;
-    let mut a = [0u8; N];
-    a.copy_from_slice(s);
-    Some(a)
-}
-
 /// Validate the shared 24-byte body header; returns the two direction-
 /// specific bytes at offsets 3 and 4, the byte at 5, and the two u64 ids.
 fn decode_header(body: &[u8]) -> Result<(u8, u8, u8, u64, u64), ProtoError> {
-    let magic: [u8; 2] = read_array(body, 0).ok_or(ProtoError::Truncated)?;
+    let magic: [u8; 2] = read_array(body, 0).map_err(|_| ProtoError::Truncated)?;
     if magic != MAGIC {
         return Err(ProtoError::BadMagic);
     }
@@ -358,12 +348,12 @@ fn decode_header(body: &[u8]) -> Result<(u8, u8, u8, u64, u64), ProtoError> {
     let b3 = *body.get(3).ok_or(ProtoError::Truncated)?;
     let b4 = *body.get(4).ok_or(ProtoError::Truncated)?;
     let b5 = *body.get(5).ok_or(ProtoError::Truncated)?;
-    let reserved: [u8; 2] = read_array(body, 6).ok_or(ProtoError::Truncated)?;
+    let reserved: [u8; 2] = read_array(body, 6).map_err(|_| ProtoError::Truncated)?;
     if reserved != [0, 0] {
         return Err(ProtoError::NonZeroReserved);
     }
-    let request_id = u64::from_le_bytes(read_array(body, 8).ok_or(ProtoError::Truncated)?);
-    let tenant = u64::from_le_bytes(read_array(body, 16).ok_or(ProtoError::Truncated)?);
+    let request_id = u64::from_le_bytes(read_array(body, 8).map_err(|_| ProtoError::Truncated)?);
+    let tenant = u64::from_le_bytes(read_array(body, 16).map_err(|_| ProtoError::Truncated)?);
     Ok((b3, b4, b5, request_id, tenant))
 }
 
@@ -471,24 +461,6 @@ fn body_len(prefix: [u8; LEN_BYTES], max_body: usize) -> Result<usize, ProtoErro
     Ok(claimed)
 }
 
-/// Split one frame off the front of `buf`.
-///
-/// Returns `Ok(None)` when the buffer holds only part of a frame (read more
-/// and retry), or `Ok(Some((body, consumed)))` with the complete frame body
-/// and the total bytes consumed (prefix + body). The length prefix is
-/// validated against `max_body` *before* the body is touched.
-pub fn split_frame(buf: &[u8], max_body: usize) -> Result<Option<(&[u8], usize)>, ProtoError> {
-    let Some(prefix) = read_array(buf, 0) else {
-        return Ok(None);
-    };
-    let claimed = body_len(prefix, max_body)?;
-    let end = LEN_BYTES.saturating_add(claimed);
-    match buf.get(LEN_BYTES..end) {
-        Some(body) => Ok(Some((body, end))),
-        None => Ok(None),
-    }
-}
-
 /// Error reading a frame off a socket: transport failure or protocol
 /// violation.
 #[derive(Debug)]
@@ -571,9 +543,10 @@ mod tests {
     fn request_roundtrip() {
         let req = sample_request();
         let frame = req.encode_frame().unwrap();
-        let (body, consumed) = split_frame(&frame, DEFAULT_MAX_FRAME).unwrap().unwrap();
-        assert_eq!(consumed, frame.len());
-        assert_eq!(Request::decode(body).unwrap(), req);
+        let mut cursor = &frame[..];
+        let body = read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert!(cursor.is_empty(), "the frame was not read whole");
+        assert_eq!(Request::decode(&body).unwrap(), req);
     }
 
     #[test]
@@ -597,8 +570,10 @@ mod tests {
                 payload: vec![1, 2, 3],
             };
             let frame = resp.encode_frame().unwrap();
-            let (body, _) = split_frame(&frame, DEFAULT_MAX_FRAME).unwrap().unwrap();
-            assert_eq!(Response::decode(body).unwrap(), resp);
+            let body = read_frame(&mut &frame[..], DEFAULT_MAX_FRAME)
+                .unwrap()
+                .unwrap();
+            assert_eq!(Response::decode(&body).unwrap(), resp);
             assert_eq!(Status::from_byte(status.to_byte()).unwrap(), status);
         }
     }
@@ -629,26 +604,6 @@ mod tests {
             }
         }
         assert_eq!(ServeCodec::Primacy.kind(), None);
-    }
-
-    #[test]
-    fn split_frame_handles_partials_and_caps() {
-        let frame = sample_request().encode_frame().unwrap();
-        // Every strict prefix is "incomplete", never an error.
-        for keep in 0..frame.len() {
-            assert_eq!(
-                split_frame(&frame[..keep], DEFAULT_MAX_FRAME).unwrap(),
-                None
-            );
-        }
-        // A tiny cap rejects the frame by its prefix alone.
-        let err = split_frame(&frame, 8).unwrap_err();
-        assert!(matches!(err, ProtoError::FrameTooLarge { .. }));
-        // A body too small to hold the header is truncated.
-        let mut small = Vec::new();
-        small.extend_from_slice(&4u32.to_le_bytes());
-        small.extend_from_slice(&[0; 4]);
-        assert_eq!(split_frame(&small, 64), Err(ProtoError::Truncated));
     }
 
     #[test]
@@ -710,15 +665,24 @@ mod tests {
             );
         }
 
-        // A forged huge prefix fails before reading (or allocating) a body.
+        // A forged huge prefix fails before reading (or allocating) a body,
+        // and a tiny cap rejects a real frame by its prefix alone.
         let mut forged = Vec::new();
         forged.extend_from_slice(&u32::MAX.to_le_bytes());
-        let mut cursor = &forged[..];
-        let err = read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap_err();
-        assert!(matches!(
-            err,
-            FrameError::Proto(ProtoError::FrameTooLarge { .. })
-        ));
+        for (bytes, cap) in [(&forged, DEFAULT_MAX_FRAME), (&frame, 8)] {
+            let err = read_frame(&mut &bytes[..], cap).unwrap_err();
+            assert!(matches!(
+                err,
+                FrameError::Proto(ProtoError::FrameTooLarge { .. })
+            ));
+        }
+
+        // A body too small to hold the header is truncated.
+        let mut small = Vec::new();
+        small.extend_from_slice(&4u32.to_le_bytes());
+        small.extend_from_slice(&[0; 4]);
+        let err = read_frame(&mut &small[..], 64).unwrap_err();
+        assert!(matches!(err, FrameError::Proto(ProtoError::Truncated)));
     }
 
     #[test]

@@ -92,12 +92,8 @@ fn zlib_and_gzip_containers_on_boundary_sizes() {
     let g = Gzip::default();
     for n in [0usize, 1, 7, 8, 9, 65_535, 65_536] {
         let data = xorshift_bytes(n, 42 + n as u64);
-        assert_eq!(z.decompress_bytes(&z.compress_bytes(&data)).unwrap(), data);
-        assert_eq!(
-            g.decompress_bytes(&g.compress_bytes(&data).unwrap())
-                .unwrap(),
-            data
-        );
+        assert_eq!(z.decompress(&z.compress(&data).unwrap()).unwrap(), data);
+        assert_eq!(g.decompress(&g.compress(&data).unwrap()).unwrap(), data);
     }
 }
 
@@ -109,8 +105,8 @@ fn lzr_offset_boundaries() {
         let mut data = xorshift_bytes(gap + 2 * marker.len(), gap as u64 * 3);
         data[..marker.len()].copy_from_slice(marker);
         data[gap..gap + marker.len()].copy_from_slice(marker);
-        let comp = Lzr.compress_bytes(&data);
-        assert_eq!(Lzr.decompress_bytes(&comp).unwrap(), data, "gap {gap}");
+        let comp = Lzr.compress(&data).unwrap();
+        assert_eq!(Lzr.decompress(&comp).unwrap(), data, "gap {gap}");
     }
 }
 
@@ -125,8 +121,8 @@ fn lzr_nibble_extension_boundaries() {
         data.extend_from_slice(unit);
         data.extend_from_slice(unit);
         data.extend_from_slice(unit);
-        let comp = Lzr.compress_bytes(&data);
-        assert_eq!(Lzr.decompress_bytes(&comp).unwrap(), data, "lits {lits}");
+        let comp = Lzr.compress(&data).unwrap();
+        assert_eq!(Lzr.decompress(&comp).unwrap(), data, "lits {lits}");
     }
     for mlen in [4usize, 17, 18, 19, 272, 273, 274, 1000] {
         let mut data = b"seed_block_0123".to_vec();
@@ -135,8 +131,8 @@ fn lzr_nibble_extension_boundaries() {
             let b = data[start - 15 + (k % 15)];
             data.push(b);
         }
-        let comp = Lzr.compress_bytes(&data);
-        assert_eq!(Lzr.decompress_bytes(&comp).unwrap(), data, "mlen {mlen}");
+        let comp = Lzr.compress(&data).unwrap();
+        assert_eq!(Lzr.decompress(&comp).unwrap(), data, "mlen {mlen}");
     }
 }
 

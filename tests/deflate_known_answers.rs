@@ -20,6 +20,7 @@
 use primacy_bench::solver_streams;
 use primacy_suite::codecs::checksum::crc32;
 use primacy_suite::codecs::deflate::{Level, Zlib};
+use primacy_suite::codecs::Codec;
 use primacy_suite::core::PrimacyConfig;
 use primacy_suite::datagen::DatasetId;
 
@@ -77,7 +78,7 @@ fn cases(id: DatasetId) -> Vec<(String, usize, u32)> {
             (Level::Default, "default", bytes),
             (Level::Best, "best", middle(bytes, BEST_SLICE)),
         ] {
-            let z = Zlib::with_level(level).compress_bytes(input);
+            let z = Zlib::with_level(level).compress(input).expect("compress");
             // The 2-byte header only names the level; zlib's unit tests pin it.
             out.push((
                 format!("{}/{stream}/{name}", id.name()),

@@ -243,7 +243,7 @@ fn legacy_vectors_still_decode() {
 // regenerate, never silently alter the meaning of version 1.
 // ---------------------------------------------------------------------------
 
-use primacy_suite::serve::protocol::{split_frame, Op, Request, Response, ServeCodec, Status};
+use primacy_suite::serve::protocol::{read_frame, Op, Request, Response, ServeCodec, Status};
 
 /// Deterministic payload for serve vectors: the first `len` bytes of a
 /// seeded dataset.
@@ -349,16 +349,15 @@ fn check_serve_vector(kind: &str, count: usize, produced: &[u8]) -> Vec<u8> {
     golden
 }
 
-/// Split a concatenated frame sequence into bodies; the whole buffer must
+/// Read a concatenated frame sequence into bodies; the whole buffer must
 /// be consumed exactly.
-fn split_all(mut bytes: &[u8]) -> Vec<&[u8]> {
+fn split_all(mut bytes: &[u8]) -> Vec<Vec<u8>> {
     let mut bodies = Vec::new();
     while !bytes.is_empty() {
-        let (body, consumed) = split_frame(bytes, usize::MAX / 2)
+        let body = read_frame(&mut bytes, usize::MAX / 2)
             .expect("golden frames parse")
             .expect("golden frames are complete");
         bodies.push(body);
-        bytes = &bytes[consumed..];
     }
     bodies
 }

@@ -5,6 +5,7 @@
 //! The tests are skipped (pass vacuously) on hosts without a `gzip` binary.
 
 use primacy_suite::codecs::deflate::{Gzip, Level};
+use primacy_suite::codecs::Codec;
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -59,9 +60,7 @@ fn system_gunzip_decodes_our_streams() {
     }
     for (i, payload) in test_payloads().iter().enumerate() {
         for level in [Level::Fast, Level::Default, Level::Best] {
-            let ours = Gzip::with_level(level)
-                .compress_bytes(payload)
-                .expect("compress");
+            let ours = Gzip::with_level(level).compress(payload).expect("compress");
             let theirs = run_filter("gzip", &["-dc"], &ours)
                 .unwrap_or_else(|| panic!("gunzip rejected our stream (payload {i}, {level:?})"));
             assert_eq!(&theirs, payload, "payload {i} at {level:?}");
@@ -80,7 +79,7 @@ fn we_decode_system_gzip_streams() {
         for flag in ["-1", "-6", "-9"] {
             let theirs = run_filter("gzip", &["-c", flag], payload).expect("system gzip runs");
             let ours = g
-                .decompress_bytes(&theirs)
+                .decompress(&theirs)
                 .unwrap_or_else(|e| panic!("payload {i} at {flag}: {e}"));
             assert_eq!(&ours, payload, "payload {i} at {flag}");
         }
@@ -94,11 +93,11 @@ fn crossing_both_ways_is_stable() {
     }
     // ours -> gunzip -> gzip -> ours
     let payload = b"double crossing payload ".repeat(123);
-    let ours = Gzip::default().compress_bytes(&payload).expect("compress");
+    let ours = Gzip::default().compress(&payload).expect("compress");
     let plain = run_filter("gzip", &["-dc"], &ours).expect("gunzip accepts");
     let theirs = run_filter("gzip", &["-c"], &plain).expect("gzip runs");
     let back = Gzip::default()
-        .decompress_bytes(&theirs)
+        .decompress(&theirs)
         .expect("we accept gzip output");
     assert_eq!(back, payload);
 }

@@ -6,7 +6,7 @@
 //! streams exercise the deep decoder states garbage never reaches.
 
 use primacy_suite::codecs::deflate::Gzip;
-use primacy_suite::codecs::CodecKind;
+use primacy_suite::codecs::{Codec, CodecKind};
 use primacy_suite::core::{ArchiveReader, ArchiveWriter, PrimacyCompressor, PrimacyConfig};
 use primacy_suite::datagen::DatasetId;
 
@@ -89,8 +89,8 @@ fn codec_streams_survive_mutation_sweeps() {
 fn gzip_streams_survive_mutation_sweeps() {
     let data = payload();
     let g = Gzip::default();
-    let stream = g.compress_bytes(&data).unwrap();
-    let decode = |bytes: &[u8]| g.decompress_bytes(bytes).ok();
+    let stream = g.compress(&data).unwrap();
+    let decode = |bytes: &[u8]| g.decompress(bytes).ok();
     sweep_flips(decode, &stream, &data, "gzip");
     sweep_truncations(decode, &stream, &data, "gzip");
 }

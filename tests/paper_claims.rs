@@ -2,15 +2,41 @@
 //!
 //! These run on smaller inputs than the bench binaries, so thresholds are
 //! slightly looser than the published numbers — they pin the *shape* (who
-//! wins, in which direction) rather than exact magnitudes.
+//! wins, in which direction) rather than exact magnitudes. Each side of a
+//! timing claim is the median of five runs: one timed call on a shared host
+//! is too noisy to rank two codecs by.
 
 use primacy_suite::codecs::{Codec, CodecKind};
 use primacy_suite::core::analysis;
 use primacy_suite::core::{PrimacyCompressor, PrimacyConfig};
 use primacy_suite::datagen::{permute, DatasetId};
+use primacy_suite::hpcsim::scenario::EndToEnd;
 use primacy_suite::hpcsim::{CompressionMethod, Scenario};
+use std::time::Instant;
 
 const N: usize = 1 << 16; // 64 Ki doubles = 512 KiB
+
+/// Runs per side of a timing claim.
+const RUNS: usize = 5;
+
+fn median(mut runs: Vec<f64>) -> f64 {
+    runs.sort_by(f64::total_cmp);
+    runs[runs.len() / 2]
+}
+
+fn secs(f: &mut impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
+/// Median seconds of [`RUNS`] calls each of `a` and `b`. The calls
+/// alternate, so load from the tests running beside this one falls on both
+/// sides alike.
+fn median_secs(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (ta, tb) = (0..RUNS).map(|_| (secs(&mut a), secs(&mut b))).unzip();
+    (median(ta), median(tb))
+}
 
 fn cr_codec(codec: &dyn Codec, bytes: &[u8]) -> f64 {
     let comp = codec.compress(bytes).expect("compress");
@@ -70,18 +96,18 @@ fn primacy_compresses_faster_than_zlib_on_hard_data() {
     // without optimization the pipeline's extra stages (split, ID-map,
     // transpose) pay full per-byte cost, so the unoptimized gap is
     // legitimately narrower while the direction of the claim still holds.
-    use std::time::Instant;
     let bytes = DatasetId::GtsPhiL.generate_bytes(1 << 18);
     let zlib = CodecKind::Zlib.build();
     let primacy = PrimacyCompressor::new(PrimacyConfig::default());
 
-    let t0 = Instant::now();
-    let _ = zlib.compress(&bytes).unwrap();
-    let z_secs = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let _ = primacy.compress_bytes(&bytes).unwrap();
-    let p_secs = t0.elapsed().as_secs_f64();
+    let (z_secs, p_secs) = median_secs(
+        || {
+            zlib.compress(&bytes).unwrap();
+        },
+        || {
+            primacy.compress_bytes(&bytes).unwrap();
+        },
+    );
 
     let margin = if cfg!(debug_assertions) { 1.1 } else { 1.5 };
     assert!(
@@ -146,39 +172,60 @@ fn end_to_end_write_gain_shape() {
     // between (small gain or small loss); everything positive throughput.
     let scenario = Scenario::default();
     let data = DatasetId::NumComet.generate_bytes(N);
-    let null = scenario.evaluate(&CompressionMethod::Null, &data).unwrap();
-    let prim = scenario
-        .evaluate(&CompressionMethod::Primacy(PrimacyConfig::default()), &data)
-        .unwrap();
-    let zlib = scenario
-        .evaluate(&CompressionMethod::Vanilla(CodecKind::Zlib), &data)
-        .unwrap();
-    assert!(prim.write_empirical_mbps > null.write_empirical_mbps * 1.05);
-    assert!(prim.write_empirical_mbps > zlib.write_empirical_mbps);
+    let methods = [
+        CompressionMethod::Null,
+        CompressionMethod::Primacy(PrimacyConfig::default()),
+        CompressionMethod::Vanilla(CodecKind::Zlib),
+    ];
+    // RUNS rounds that each evaluate every method once, so host load falls
+    // on all three alike; then the median simulated MB/s of each.
+    let runs: Vec<Vec<EndToEnd>> = (0..RUNS)
+        .map(|_| {
+            methods
+                .iter()
+                .map(|m| scenario.evaluate(m, &data).unwrap())
+                .collect()
+        })
+        .collect();
+    let rate =
+        |k: usize, mbps: fn(&EndToEnd) -> f64| median(runs.iter().map(|r| mbps(&r[k])).collect());
+    let write = |k| rate(k, |r| r.write_empirical_mbps);
+    let read = |k| rate(k, |r| r.read_empirical_mbps);
+    let (null_write, prim_write, zlib_write) = (write(0), write(1), write(2));
+    assert!(
+        prim_write > null_write * 1.05,
+        "primacy writes {prim_write:.2} MB/s vs null {null_write:.2}"
+    );
+    assert!(
+        prim_write > zlib_write,
+        "primacy writes {prim_write:.2} MB/s vs zlib {zlib_write:.2}"
+    );
     // Reads: vanilla decompression must not beat PRIMACY's. This one leans
     // on real wall-clock codec speeds, which unoptimized builds distort
     // (debug codecs are ~10x slower, flipping the read trade-off), so only
     // assert it where the measurement is representative.
     if !cfg!(debug_assertions) {
-        assert!(prim.read_empirical_mbps > zlib.read_empirical_mbps);
+        assert!(read(1) > read(2));
     }
 }
 
 #[test]
 fn bzip2_class_is_strong_but_slow() {
     // §IV-C's reason for excluding bzlib2 from in-situ runs.
-    use std::time::Instant;
     let bytes = DatasetId::NumPlasma.generate_bytes(1 << 16);
     let bwt = CodecKind::Bwt.build();
     let lzr = CodecKind::Lzr.build();
 
-    let t0 = Instant::now();
     let bwt_out = bwt.compress(&bytes).unwrap();
-    let bwt_secs = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
     let lzr_out = lzr.compress(&bytes).unwrap();
-    let lzr_secs = t0.elapsed().as_secs_f64();
+    let (bwt_secs, lzr_secs) = median_secs(
+        || {
+            bwt.compress(&bytes).unwrap();
+        },
+        || {
+            lzr.compress(&bytes).unwrap();
+        },
+    );
 
     assert!(
         bwt_out.len() < lzr_out.len(),

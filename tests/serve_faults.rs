@@ -15,7 +15,7 @@
 
 use primacy_suite::datagen::{DatasetId, Rng};
 use primacy_suite::serve::protocol::{
-    read_frame, split_frame, Op, ProtoError, Request, Response, ServeCodec, Status, LEN_BYTES,
+    read_frame, FrameError, Op, ProtoError, Request, Response, ServeCodec, Status, LEN_BYTES,
 };
 use primacy_suite::serve::{ServeClient, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -131,9 +131,6 @@ fn response_decoder_survives_the_corpus() {
 #[test]
 fn framing_layer_survives_the_corpus() {
     let frame = sample_request().encode_frame().unwrap();
-    assault("serve-split-frame", &frame, |bytes| {
-        let _ = split_frame(bytes, 4096);
-    });
     assault("serve-read-frame", &frame, |bytes| {
         let mut cursor = bytes;
         // Drain every frame the mutated stream appears to contain.
@@ -147,11 +144,14 @@ fn forged_length_prefix_is_rejected_before_allocation() {
     // prefix alone — this is the decompression-bomb stance at the edge.
     let mut forged = u32::MAX.to_le_bytes().to_vec();
     forged.extend_from_slice(&[0u8; 16]);
-    let err = split_frame(&forged, 4096).unwrap_err();
-    assert!(matches!(err, ProtoError::FrameTooLarge { claimed, cap }
-        if claimed == u64::from(u32::MAX) && cap == 4096));
     let mut cursor = &forged[..];
-    assert!(read_frame(&mut cursor, 4096).is_err());
+    let err = read_frame(&mut cursor, 4096).unwrap_err();
+    assert!(
+        matches!(err, FrameError::Proto(ProtoError::FrameTooLarge { claimed, cap })
+            if claimed == u64::from(u32::MAX) && cap == 4096)
+    );
+    // Only the prefix was read.
+    assert_eq!(cursor.len(), 16);
 }
 
 // ---------------------------------------------------------------------------
@@ -201,9 +201,8 @@ fn assert_healthy(server: &Server) {
 fn decode_responses(bytes: &[u8]) -> Vec<Response> {
     let mut rest = bytes;
     let mut out = Vec::new();
-    while let Ok(Some((body, consumed))) = split_frame(rest, usize::MAX / 2) {
-        out.push(Response::decode(body).expect("server sent a malformed response"));
-        rest = &rest[consumed..];
+    while let Ok(Some(body)) = read_frame(&mut rest, usize::MAX / 2) {
+        out.push(Response::decode(&body).expect("server sent a malformed response"));
     }
     out
 }
