@@ -16,11 +16,10 @@
 //! stream; the typed [`Fpc::compress_f64`] writes the same format with an
 //! empty tail.
 //!
-//! Every stream starts from all-zero tables. Callers without a scratch get
-//! fresh tables per call; [`Codec::compress_with`] and
-//! [`Codec::decompress_into`] borrow an [`FpcScratch`]'s tables instead and
-//! zero again only the slots the call wrote, so a 2 KiB call does not pay
-//! for zeroing 16 MiB.
+//! Every stream starts from all-zero tables. [`Codec::compress_with`] and
+//! [`Codec::decompress_into`] borrow an [`FpcScratch`]'s tables and zero
+//! again only the slots the call wrote, so a 2 KiB call does not pay for
+//! zeroing 16 MiB; the one-shot calls run on a fresh scratch.
 
 use crate::checksum::crc32;
 use crate::error::{CodecError, Result};
@@ -285,12 +284,11 @@ impl<'a> Frame<'a> {
     }
 }
 
-/// Decode `frame` onto the end of `out`, predicting from `pred`'s tables.
+/// Decode `frame` into the empty `out`, predicting from `pred`'s tables.
 /// Each double reaches `out` just before it is folded into the tables, so
-/// after an error `out` still ends with exactly the doubles the tables saw.
+/// after an error `out` still holds exactly the doubles the tables saw.
 fn decode(frame: &Frame<'_>, mut pred: Predictors<'_>, out: &mut Vec<u8>) -> Result<()> {
     let (input, body_end) = (frame.input, frame.body_end);
-    let start = out.len();
     let mut pos = frame.residuals;
     for i in 0..frame.count {
         let byte = frame.headers[i / 2];
@@ -315,7 +313,7 @@ fn decode(frame: &Frame<'_>, mut pred: Predictors<'_>, out: &mut Vec<u8>) -> Res
         return Err(CodecError::Corrupt("fpc trailing residual bytes"));
     }
     let stored = u32::from_le_bytes(crate::read_array(input, body_end)?);
-    let actual_crc = crc32(&out[start..]);
+    let actual_crc = crc32(out);
     if stored != actual_crc {
         return Err(CodecError::ChecksumMismatch {
             expected: stored,
@@ -326,13 +324,37 @@ fn decode(frame: &Frame<'_>, mut pred: Predictors<'_>, out: &mut Vec<u8>) -> Res
 }
 
 impl Fpc {
-    /// The stream of `input`: its whole doubles coded on `scratch`'s tables
-    /// when it keeps this size and on fresh ones otherwise, then the raw
-    /// tail bytes and their count.
-    fn compress_framed(&self, input: &[u8], scratch: Option<&mut FpcScratch>) -> Vec<u8> {
+    /// Convenience: compress a slice of doubles.
+    pub fn compress_f64(&self, values: &[f64]) -> Result<Vec<u8>> {
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        self.compress(&bytes)
+    }
+
+    /// Convenience: decompress into doubles. A stream whose plaintext ends
+    /// in a partial double is rejected.
+    pub fn decompress_f64(&self, input: &[u8]) -> Result<Vec<f64>> {
+        let bytes = self.decompress(input)?;
+        if !bytes.len().is_multiple_of(8) {
+            return Err(CodecError::InvalidParameter(
+                "fpc stream does not hold whole doubles",
+            ));
+        }
+        Ok(doubles(&bytes).map(f64::from_bits).collect())
+    }
+}
+
+impl Codec for Fpc {
+    fn name(&self) -> &'static str {
+        "fpc"
+    }
+
+    /// The whole doubles of `input`, coded on the scratch's tables when it
+    /// keeps this size and on fresh ones otherwise, then the raw tail bytes
+    /// and their count.
+    fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>> {
         let (doubles, tail) = input.split_at(input.len() / 8 * 8);
         let mut out = Vec::with_capacity(max_stream_len(input.len()));
-        match scratch.and_then(|s| s.tables(self.table_log2)) {
+        match scratch.fpc.tables(self.table_log2) {
             Some((fcm, dfcm)) => {
                 encode(
                     doubles,
@@ -354,73 +376,11 @@ impl Fpc {
         }
         out.extend_from_slice(tail);
         write_varint(&mut out, tail.len() as u64);
-        out
+        Ok(out)
     }
 
-    /// Convenience: compress a slice of doubles.
-    pub fn compress_f64(&self, values: &[f64]) -> Result<Vec<u8>> {
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.compress(&bytes)
-    }
-
-    /// Convenience: decompress into doubles. A stream whose plaintext ends
-    /// in a partial double is rejected.
-    pub fn decompress_f64(&self, input: &[u8]) -> Result<Vec<f64>> {
-        let bytes = self.decompress(input)?;
-        if !bytes.len().is_multiple_of(8) {
-            return Err(CodecError::InvalidParameter(
-                "fpc stream does not hold whole doubles",
-            ));
-        }
-        Ok(doubles(&bytes).map(f64::from_bits).collect())
-    }
-}
-
-/// Reverse [`Fpc::compress_framed`] onto the end of `out`, on `scratch`'s
-/// tables when it keeps the size the stream names and on fresh ones
-/// otherwise.
-fn decompress_framed(
-    input: &[u8],
-    scratch: Option<&mut FpcScratch>,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    let Some((&tail_len, rest)) = input.split_last() else {
-        return Err(CodecError::Truncated);
-    };
-    // The tail varint is a single byte (< 8).
-    let tail_len = tail_len as usize;
-    if tail_len >= 8 || rest.len() < tail_len {
-        return Err(CodecError::Corrupt("fpc tail length invalid"));
-    }
-    let (body, tail) = rest.split_at(rest.len() - tail_len);
-    let frame = Frame::parse(body)?;
-    // `count` is untrusted, so the reservation is clamped.
-    out.reserve(crate::clamped_capacity((frame.count as u64).saturating_mul(8)) + tail_len);
-    let start = out.len();
-    match scratch.and_then(|s| s.tables(frame.table_log2)) {
-        Some((fcm, dfcm)) => {
-            let decoded = decode(&frame, Predictors::new(fcm, dfcm), out);
-            clear(fcm, dfcm, &out[start..]);
-            decoded
-        }
-        None => {
-            let (mut fcm, mut dfcm) = fresh_tables(frame.table_log2);
-            decode(&frame, Predictors::new(&mut fcm, &mut dfcm), out)
-        }
-    }?;
-    out.extend_from_slice(tail);
-    Ok(())
-}
-
-impl Codec for Fpc {
-    fn name(&self) -> &'static str {
-        "fpc"
-    }
-
-    fn compress_with(&self, input: &[u8], scratch: &mut CodecScratch) -> Result<Vec<u8>> {
-        Ok(self.compress_framed(input, Some(&mut scratch.fpc)))
-    }
-
+    /// Reverses [`Codec::compress_with`], on the scratch's tables when it
+    /// keeps the size the stream names and on fresh ones otherwise.
     fn decompress_into(
         &self,
         input: &[u8],
@@ -428,20 +388,31 @@ impl Codec for Fpc {
         out: &mut Vec<u8>,
     ) -> Result<()> {
         out.clear();
-        decompress_framed(input, Some(&mut scratch.fpc), out)
-    }
-
-    /// Codes on fresh tables: a throwaway scratch would have to clear its
-    /// tables after the call as well.
-    fn compress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        Ok(self.compress_framed(input, None))
-    }
-
-    /// Decodes on fresh tables, as [`Codec::compress`] does.
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        decompress_framed(input, None, &mut out)?;
-        Ok(out)
+        let Some((&tail_len, rest)) = input.split_last() else {
+            return Err(CodecError::Truncated);
+        };
+        // The tail varint is a single byte (< 8).
+        let tail_len = tail_len as usize;
+        if tail_len >= 8 || rest.len() < tail_len {
+            return Err(CodecError::Corrupt("fpc tail length invalid"));
+        }
+        let (body, tail) = rest.split_at(rest.len() - tail_len);
+        let frame = Frame::parse(body)?;
+        // `count` is untrusted, so the reservation is clamped.
+        out.reserve(crate::clamped_capacity((frame.count as u64).saturating_mul(8)) + tail_len);
+        match scratch.fpc.tables(frame.table_log2) {
+            Some((fcm, dfcm)) => {
+                let decoded = decode(&frame, Predictors::new(fcm, dfcm), out);
+                clear(fcm, dfcm, out);
+                decoded
+            }
+            None => {
+                let (mut fcm, mut dfcm) = fresh_tables(frame.table_log2);
+                decode(&frame, Predictors::new(&mut fcm, &mut dfcm), out)
+            }
+        }?;
+        out.extend_from_slice(tail);
+        Ok(())
     }
 }
 

@@ -220,80 +220,94 @@ impl Fpz {
 
     /// Decompress a stream produced by [`Fpz::compress_f64`].
     pub fn decompress_f64(&self, input: &[u8]) -> Result<Vec<f64>> {
-        if input.len() < 10 {
+        let mut bytes = Vec::new();
+        decode(input, &mut bytes)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(c); // chunks_exact(8) guarantees the length
+                f64::from_le_bytes(word)
+            })
+            .collect())
+    }
+}
+
+/// Decode a stream produced by [`Fpz::compress_f64`] into `out` (cleared
+/// first) as little-endian doubles. The stream names its own grid.
+fn decode(input: &[u8], out: &mut Vec<u8>) -> Result<()> {
+    out.clear();
+    if input.len() < 10 {
+        return Err(CodecError::Truncated);
+    }
+    if input.get(..4) != Some(MAGIC.as_slice()) {
+        return Err(CodecError::BadMagic);
+    }
+    let rank = input.get(4).copied().ok_or(CodecError::Truncated)?;
+    let mut pos = 5usize;
+    let mut dims = [0usize; 3];
+    if !(1..=3).contains(&rank) {
+        return Err(CodecError::Corrupt("fpz rank must be 1..=3"));
+    }
+    let n_dims = if rank == 1 { 0 } else { rank as usize };
+    for d in dims.iter_mut().take(n_dims) {
+        let (v, used) = read_varint(input.get(pos..).ok_or(CodecError::Truncated)?)?;
+        *d = v as usize;
+        pos = pos.checked_add(used).ok_or(CodecError::Truncated)?;
+    }
+    let (count, used) = read_varint(input.get(pos..).ok_or(CodecError::Truncated)?)?;
+    let count = count as usize;
+    pos = pos.checked_add(used).ok_or(CodecError::Truncated)?;
+    let [d0, d1, d2] = dims;
+    let grid = match rank {
+        1 => Grid::D1,
+        2 => Grid::D2(d0, d1),
+        _ => Grid::D3(d0, d1, d2),
+    };
+    if let Some(expected) = grid.element_count() {
+        if expected != count {
+            return Err(CodecError::Corrupt("fpz grid/count mismatch"));
+        }
+        if dims.iter().take(n_dims).any(|&d| d == 0) {
+            return Err(CodecError::Corrupt("fpz zero grid dimension"));
+        }
+    }
+    let body_end = input.len() - 4;
+    let body = input.get(pos..body_end).ok_or(CodecError::Truncated)?;
+    if count > body.len().saturating_mul(MAX_ELEMENTS_PER_BYTE) {
+        return Err(CodecError::Corrupt("fpz count implausible for payload"));
+    }
+    let mut dec = RangeDecoder::new(body)?;
+    let mut class_model = BitTreeModel::new(7);
+    let mut mapped = Vec::with_capacity(crate::clamped_capacity(count as u64));
+    out.reserve(crate::clamped_capacity((count as u64).saturating_mul(8)));
+    for i in 0..count {
+        if dec.overrun() > MAX_RANGE_OVERRUN {
             return Err(CodecError::Truncated);
         }
-        if input.get(..4) != Some(MAGIC.as_slice()) {
-            return Err(CodecError::BadMagic);
+        let class = class_model.decode(&mut dec);
+        if class > 64 {
+            return Err(CodecError::Corrupt("fpz residual class exceeds 64"));
         }
-        let rank = input.get(4).copied().ok_or(CodecError::Truncated)?;
-        let mut pos = 5usize;
-        let mut dims = [0usize; 3];
-        if !(1..=3).contains(&rank) {
-            return Err(CodecError::Corrupt("fpz rank must be 1..=3"));
-        }
-        let n_dims = if rank == 1 { 0 } else { rank as usize };
-        for d in dims.iter_mut().take(n_dims) {
-            let (v, used) = read_varint(input.get(pos..).ok_or(CodecError::Truncated)?)?;
-            *d = v as usize;
-            pos = pos.checked_add(used).ok_or(CodecError::Truncated)?;
-        }
-        let (count, used) = read_varint(input.get(pos..).ok_or(CodecError::Truncated)?)?;
-        let count = count as usize;
-        pos = pos.checked_add(used).ok_or(CodecError::Truncated)?;
-        let [d0, d1, d2] = dims;
-        let grid = match rank {
-            1 => Grid::D1,
-            2 => Grid::D2(d0, d1),
-            _ => Grid::D3(d0, d1, d2),
+        let residual = match class {
+            0 => 0u64,
+            1 => 1u64,
+            c => (1u64 << (c - 1)) | dec.decode_direct(c - 1),
         };
-        if let Some(expected) = grid.element_count() {
-            if expected != count {
-                return Err(CodecError::Corrupt("fpz grid/count mismatch"));
-            }
-            if dims.iter().take(n_dims).any(|&d| d == 0) {
-                return Err(CodecError::Corrupt("fpz zero grid dimension"));
-            }
-        }
-        let body_end = input.len() - 4;
-        let body = input.get(pos..body_end).ok_or(CodecError::Truncated)?;
-        if count > body.len().saturating_mul(MAX_ELEMENTS_PER_BYTE) {
-            return Err(CodecError::Corrupt("fpz count implausible for payload"));
-        }
-        let mut dec = RangeDecoder::new(body)?;
-        let mut class_model = BitTreeModel::new(7);
-        let mut mapped = Vec::with_capacity(crate::clamped_capacity(count as u64));
-        for i in 0..count {
-            if dec.overrun() > MAX_RANGE_OVERRUN {
-                return Err(CodecError::Truncated);
-            }
-            let class = class_model.decode(&mut dec);
-            if class > 64 {
-                return Err(CodecError::Corrupt("fpz residual class exceeds 64"));
-            }
-            let residual = match class {
-                0 => 0u64,
-                1 => 1u64,
-                c => (1u64 << (c - 1)) | dec.decode_direct(c - 1),
-            };
-            let pred = lorenzo_predict(&mapped, i, grid);
-            mapped.push(pred.wrapping_add(unzigzag(residual) as u64));
-        }
-        let values: Vec<f64> = mapped
-            .iter()
-            .map(|&m| f64::from_bits(unmap_bits(m)))
-            .collect();
-        let raw: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let stored = u32::from_le_bytes(crate::read_array(input, body_end)?);
-        let actual = crc32(&raw);
-        if stored != actual {
-            return Err(CodecError::ChecksumMismatch {
-                expected: stored,
-                actual,
-            });
-        }
-        Ok(values)
+        let pred = lorenzo_predict(&mapped, i, grid);
+        let m = pred.wrapping_add(unzigzag(residual) as u64);
+        mapped.push(m);
+        out.extend_from_slice(&unmap_bits(m).to_le_bytes());
     }
+    let stored = u32::from_le_bytes(crate::read_array(input, body_end)?);
+    let actual = crc32(out);
+    if stored != actual {
+        return Err(CodecError::ChecksumMismatch {
+            expected: stored,
+            actual,
+        });
+    }
+    Ok(())
 }
 
 /// FPZ keeps no state between calls, so both methods ignore `scratch`.
@@ -333,12 +347,7 @@ impl Codec for Fpz {
         let split = input.len() - 1 - tail_len;
         let body = input.get(..split).ok_or(CodecError::Truncated)?;
         let tail = input.get(split..input.len() - 1).unwrap_or(&[]);
-        let values = Fpz::default().decompress_f64(body)?;
-        out.clear();
-        out.reserve(values.len() * 8 + tail.len());
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        decode(body, out)?;
         out.extend_from_slice(tail);
         Ok(())
     }
