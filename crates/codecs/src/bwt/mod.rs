@@ -110,8 +110,8 @@ pub fn bwt_inverse(bwt: &[u8], primary: usize) -> Result<Vec<u8>> {
             bwt.get(idx).map_or(0, |&b| b as usize + 1)
         }
     };
-    let mut count = [0u32; 258];
-    count[0] = 1;
+    // The sentinel (symbol 0) occurs once.
+    let mut count: [u32; 258] = std::array::from_fn(|sym| u32::from(sym == 0));
     for &b in bwt {
         // A byte's symbol b+1 is at most 256, inside the 258-entry table.
         if let Some(slot) = count.get_mut(b as usize + 1) {

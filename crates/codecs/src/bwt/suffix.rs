@@ -5,11 +5,11 @@
 //! Wheeler layer gets well-defined suffix order for arbitrary binary data.
 //!
 //! SA-IS runs exclusively on the encode side, over an encoder-owned copy
-//! of the input. Loops that scan a whole array use ranges the analyzer can
-//! prove in-bounds; the induced-sorting passes, whose positions come from
-//! the partially built suffix array itself, use checked access — every
-//! `get` succeeds by the algorithm's invariants, and a miss would only
-//! skip a placement rather than abort the process.
+//! of the input. Loops that scan a whole array iterate it; the
+//! induced-sorting passes, whose positions come from the partially built
+//! suffix array itself, use checked access — every `get` succeeds by the
+//! algorithm's invariants, and a miss would only skip a placement rather
+//! than abort the process.
 
 const EMPTY: u32 = u32::MAX;
 
@@ -43,12 +43,12 @@ fn sais(s: &[u32], k: usize) -> Vec<u32> {
     }
 
     // Type classification: true = S-type. The sentinel is S.
-    let mut is_s = vec![false; n];
-    if let Some(last) = is_s.last_mut() {
-        *last = true;
-    }
-    for i in (0..n - 1).rev() {
-        is_s[i] = s[i] < s[i + 1] || (s[i] == s[i + 1] && is_s[i + 1]);
+    let mut is_s = vec![true; n];
+    let mut next_is_s = true;
+    for (ty, w) in is_s.iter_mut().zip(s.windows(2)).rev() {
+        let &[c, next] = w else { continue };
+        next_is_s = c < next || (c == next && next_is_s);
+        *ty = next_is_s;
     }
 
     let mut bucket = vec![0u32; k];
@@ -60,12 +60,12 @@ fn sais(s: &[u32], k: usize) -> Vec<u32> {
     }
 
     // Left-most S positions, in text order.
-    let mut lms_positions: Vec<u32> = Vec::new();
-    for i in 1..n {
-        if is_s[i] && !is_s[i - 1] {
-            lms_positions.push(i as u32);
-        }
-    }
+    let lms_positions: Vec<u32> = is_s
+        .windows(2)
+        .enumerate()
+        .filter(|(_, w)| matches!(w, &[false, true]))
+        .map(|(i, _)| i as u32 + 1)
+        .collect();
 
     // First pass: induce with LMS positions in arbitrary (text) order; this
     // sorts the LMS *substrings*.
@@ -171,7 +171,7 @@ fn induce(s: &[u32], is_s: &[bool], bucket: &[u32], lms: &[u32]) -> Vec<u32> {
     // Induce L-type suffixes.
     heads(&mut ptr);
     for i in 0..n {
-        let j = sa[i];
+        let Some(&j) = sa.get(i) else { continue };
         if j != EMPTY && j > 0 {
             let p = (j - 1) as usize;
             if is_s.get(p) == Some(&false) {
@@ -194,7 +194,7 @@ fn induce(s: &[u32], is_s: &[bool], bucket: &[u32], lms: &[u32]) -> Vec<u32> {
     // correct final order).
     tails(&mut ptr);
     for i in (0..n).rev() {
-        let j = sa[i];
+        let Some(&j) = sa.get(i) else { continue };
         if j != EMPTY && j > 0 {
             let p = (j - 1) as usize;
             if is_s.get(p) == Some(&true) {

@@ -201,10 +201,9 @@ impl Fpz {
         let mut enc = RangeEncoder::new();
         // 65 classes (0..=64 significant bits) fit a 7-bit tree.
         let mut class_model = BitTreeModel::new(7);
-        for i in 0..mapped.len() {
+        for (i, &m) in mapped.iter().enumerate() {
             let pred = lorenzo_predict(&mapped, i, self.grid);
-            // lint: allow(index) -- encoder-owned buffer; i < mapped.len() by the loop bound
-            let residual = zigzag(mapped[i].wrapping_sub(pred) as i64);
+            let residual = zigzag(m.wrapping_sub(pred) as i64);
             let class = 64 - residual.leading_zeros(); // 0..=64
             class_model.encode(&mut enc, class);
             if class > 1 {

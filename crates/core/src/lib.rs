@@ -62,7 +62,8 @@ mod par;
 pub mod pipeline;
 /// Hi/lo byte-plane splitting.
 pub mod split;
-/// Order statistics shared by analysis and the mapper.
+/// Per-call compression statistics (`CompressionStats`), per-stage wall
+/// times (`StageTimings`) and the stage span names.
 pub mod stats;
 /// `std::io` adapters over archives.
 pub mod stream;

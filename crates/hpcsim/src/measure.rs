@@ -7,7 +7,7 @@
 
 use crate::model::ModelInputs;
 use primacy_codecs::Codec;
-use primacy_core::{PrimacyCompressor, PrimacyConfig, PrimacyError, Result};
+use primacy_core::{Linearization, PrimacyCompressor, PrimacyConfig, PrimacyError, Result};
 use primacy_trace::json::{self, Value};
 use std::time::Instant;
 
@@ -118,9 +118,12 @@ fn section_ratios(config: &PrimacyConfig, bytes: &[u8]) -> Result<(f64, f64)> {
     let freq = FreqTable::from_hi_matrix(&hi, config.hi_bytes);
     let map = IdMap::from_freq(&freq, config.hi_bytes)?;
     map.encode_hi(&mut hi)?;
-    let hi_lin = linearize::to_columns(&hi, n, config.hi_bytes);
+    let hi_lin = match config.linearization {
+        Linearization::Row => hi,
+        Linearization::Column => linearize::to_columns(&hi, n, config.hi_bytes),
+    };
     let hi_comp = codec.compress(&hi_lin)?;
-    let sigma_ho = (hi_comp.len() + map.serialized_len()) as f64 / hi.len().max(1) as f64;
+    let sigma_ho = (hi_comp.len() + map.serialized_len()) as f64 / hi_lin.len().max(1) as f64;
 
     let lo_cols = config.lo_bytes();
     let report = isobar::analyze(&lo, n, lo_cols, &config.isobar);
@@ -339,6 +342,21 @@ mod tests {
         assert!(m.ratio > 1.0);
         assert!(m.t_prec.is_finite() && m.t_prec > 0.0);
         assert!(m.compress_bps > 0.0 && m.decompress_bps > 0.0);
+    }
+
+    #[test]
+    fn sigma_ho_follows_the_linearization() {
+        let bytes = primacy_datagen::DatasetId::GtsPhiL.generate_bytes(1 << 14);
+        let sigma_ho = |linearization| {
+            let cfg = PrimacyConfig {
+                linearization,
+                ..PrimacyConfig::default()
+            };
+            measure_primacy(&cfg, &bytes).unwrap().sigma_ho
+        };
+        let row = sigma_ho(Linearization::Row);
+        let column = sigma_ho(Linearization::Column);
+        assert!(row > column, "row σho {row} vs column σho {column}");
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! tree and function-body spans; [`callgraph`] links every `fn` in the
 //! workspace by name with per-argument call-site spans; [`summary`] runs
 //! the interprocedural fixed point (derived taint sources, allocation
-//! parameters, transitive panic); [`taint`] is the per-body engine the
-//! fixed point and the rules share; and [`rules`] scans for the project
-//! rules (`panic`, `index`, `decode-result`, `taint`, `overflow`,
-//! `safety-comment`, `pub-doc`, `unsafe-boundary`,
-//! `concurrency-discipline`) while honoring counted
-//! `// lint: allow(...)` escape hatches. [`report`] renders JSON
+//! parameters); [`taint`] is the per-body engine the fixed point and the
+//! rules share; and [`rules`] scans for the project rules (`panic`,
+//! `index`, `decode-result`, `taint`, `overflow`, `safety-comment`,
+//! `pub-doc`, `unsafe-boundary`, `concurrency-discipline`) while honoring
+//! counted `// lint: allow(...)` escape hatches. [`report`] renders JSON
 //! diagnostics and gates against the checked-in `lint-baseline.json`
 //! under per-file per-rule keys, rendering a delta table on regression.
 //!
@@ -29,7 +28,6 @@
 //! taint model, the suppression burn-down playbook, and the allow
 //! grammar.
 
-pub(crate) mod bounds;
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;

@@ -8,9 +8,8 @@
 //!   they express invariants, not error handling.
 //! - `index` — no unchecked slice indexing (`buf[i]`, `&buf[a..b]`) in
 //!   designated untrusted-input modules (decode paths fed by external
-//!   bytes). Only enforced when the caller marks the file untrusted, and
-//!   only at sites the loop-bound prover ([`crate::bounds`]) cannot
-//!   discharge.
+//!   bytes). Only enforced when the caller marks the file untrusted; there
+//!   every index is checked (`get`, iterators) or allowed.
 //! - `decode-result` — every `pub fn` whose name is `open` or starts with
 //!   `read_`/`decode`/`decompress`/`inflate` must return a `Result`.
 //! - `taint` — untrusted-length data flow (see [`crate::taint`]): a value
@@ -40,8 +39,9 @@
 //!   the line directly above it;
 //! - `// lint: allow-file(<rule>) -- <justification>` anywhere in the file.
 //!
-//! The justification is mandatory; a directive without one (or naming an
-//! unknown rule) is itself a violation that no directive can suppress.
+//! The justification is mandatory; a directive without one, naming an
+//! unknown rule, or suppressing no finding is itself a `bad-allow`
+//! violation that no directive can suppress.
 
 use crate::lexer::{lex, CommentKind, LineComment, Tok, Token};
 use crate::parser::{self, matching_close, Item, ItemKind, Vis};
@@ -56,7 +56,7 @@ pub enum Rule {
     Index,
     /// Public decode entry point that does not return `Result`.
     DecodeResult,
-    /// Malformed `// lint:` directive.
+    /// Malformed `// lint:` directive, or one that suppresses nothing.
     BadAllow,
     /// Untrusted value reaches arithmetic/allocation/indexing unsanitized.
     Taint,
@@ -209,8 +209,7 @@ pub fn check_file_with(
         scan_decode_signatures(tokens, &test_mask, &mut raw);
     }
     if ctx.untrusted && !ctx.binary {
-        let proven = crate::bounds::proven_index_mask(tokens);
-        scan_indexing(tokens, &test_mask, &proven, &mut raw);
+        scan_indexing(tokens, &test_mask, &mut raw);
         taint::scan_overflow(tokens, &test_mask, &mut raw);
     }
     taint::scan_taint_with(tokens, &test_mask, extra_sources, &mut raw);
@@ -372,9 +371,9 @@ const NON_INDEX_KEYWORDS: [&str; 16] = [
     "move", "let", "const", "static",
 ];
 
-fn scan_indexing(tokens: &[Token], test_mask: &[bool], proven: &[bool], out: &mut Vec<Finding>) {
+fn scan_indexing(tokens: &[Token], test_mask: &[bool], out: &mut Vec<Finding>) {
     for (i, t) in tokens.iter().enumerate() {
-        if test_mask.get(i).copied().unwrap_or(false) || proven.get(i).copied().unwrap_or(false) {
+        if test_mask.get(i).copied().unwrap_or(false) {
             continue;
         }
         if t.tok != Tok::Open('[') {
@@ -924,8 +923,8 @@ fn parse_allow(s: &str) -> Option<(Rule, bool)> {
     Some((rule, whole_file))
 }
 
-/// Apply allow directives to raw findings; malformed directives join the
-/// surviving findings.
+/// Apply allow directives to raw findings; malformed directives and
+/// directives that cover no finding join the surviving findings.
 fn reconcile(raw: Vec<Finding>, allows: &[Allow], bad: &mut Vec<Finding>) -> FileReport {
     let mut allows_by_rule: Vec<(&'static str, usize)> = Vec::new();
     for a in allows {
@@ -943,10 +942,15 @@ fn reconcile(raw: Vec<Finding>, allows: &[Allow], bad: &mut Vec<Finding>) -> Fil
         ..FileReport::default()
     };
     let mut suppressed: Vec<(&'static str, usize)> = Vec::new();
+    let mut used = vec![false; allows.len()];
     for f in raw {
-        let covered = allows.iter().any(|a| {
-            a.rule == f.rule && (a.whole_file || a.line == f.line || a.line + 1 == f.line)
-        });
+        let mut covered = false;
+        for (a, used) in allows.iter().zip(used.iter_mut()) {
+            if a.rule == f.rule && (a.whole_file || a.line == f.line || a.line + 1 == f.line) {
+                *used = true;
+                covered = true;
+            }
+        }
         if covered {
             match suppressed
                 .iter_mut()
@@ -958,6 +962,14 @@ fn reconcile(raw: Vec<Finding>, allows: &[Allow], bad: &mut Vec<Finding>) -> Fil
         } else {
             report.findings.push(f);
         }
+    }
+    for (a, _) in allows.iter().zip(used).filter(|(_, used)| !used) {
+        let form = if a.whole_file { "allow-file" } else { "allow" };
+        report.findings.push(Finding {
+            line: a.line,
+            rule: Rule::BadAllow,
+            message: format!("`{form}({})` suppresses nothing", a.rule.name()),
+        });
     }
     report.findings.append(bad);
     report.findings.sort_by_key(|f| f.line);
@@ -1097,11 +1109,30 @@ mod tests {
     }
 
     #[test]
+    fn allow_that_suppresses_nothing_is_a_violation() {
+        let src = "fn f(buf: &[u8]) -> u8 {\n\
+                   // lint: allow(index) -- nothing below indexes\n\
+                   buf.first().copied().unwrap_or(0)\n\
+                   }";
+        let r = check_source(src, true);
+        assert_eq!(lines_of(&r, Rule::BadAllow), vec![2]);
+        assert_eq!(r.allow_count, 1);
+        assert!(r.suppressed.is_empty());
+    }
+
+    #[test]
     fn indexing_flagged_only_in_untrusted_modules() {
         let src = "fn f(buf: &[u8], i: usize) -> u8 {\nbuf[i]\n}";
         assert!(check_source(src, false).findings.is_empty());
         let r = check_source(src, true);
         assert_eq!(lines_of(&r, Rule::Index), vec![2]);
+    }
+
+    #[test]
+    fn loop_bounded_indexing_is_still_flagged() {
+        let src = "fn f(v: &[u8]) {\nfor i in 0..v.len() {\nlet _ = v[i];\n}\n}";
+        let r = check_source(src, true);
+        assert_eq!(lines_of(&r, Rule::Index), vec![3]);
     }
 
     #[test]

@@ -13,15 +13,11 @@
 //!   allocation inside the function or transitively inside a callee.
 //!   Call sites passing tainted arguments to such parameters are
 //!   interprocedural allocation findings.
-//! - **`can_panic`** — the function contains a panicking construct or
-//!   (transitively) calls one that does. Recorded for reporting and
-//!   tests; the `panic` rule stays site-based.
 //!
 //! Name collisions (two `fn decode` in different modules) are merged with
-//! AND for source/alloc facts — a name only becomes a derived source or
-//! an alloc sink if *every* function with that name has the property, so
-//! an unrelated same-name function cannot manufacture findings — and OR
-//! for `can_panic`, which is informational and errs toward caution.
+//! AND — a name only becomes a derived source or an alloc sink if *every*
+//! function with that name has the property, so an unrelated same-name
+//! function cannot manufacture findings.
 //!
 //! The fixed point iterates until summaries stop changing (all facts grow
 //! monotonically; a round cap guards against pathological inputs).
@@ -30,15 +26,13 @@ use crate::callgraph::{call_sites, CallGraph, CallSite};
 use crate::lexer::{Tok, Token};
 use crate::taint::{body_taint, statement_end};
 
-/// What one function does with untrusted data and panics.
+/// What one function does with untrusted data.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FnSummary {
     /// The return value is tainted by a source read.
     pub taints_return: bool,
     /// Parameters that size an allocation (directly or via a callee).
     pub alloc_params: Vec<usize>,
-    /// The function can panic, transitively.
-    pub can_panic: bool,
 }
 
 /// Summaries for every graph node plus the merged derived-source names.
@@ -69,14 +63,7 @@ pub fn summarize(graph: &CallGraph, files: &[&[Token]]) -> Summaries {
         .map(|f| call_sites(files[f.file], f.body.0, f.body.1))
         .collect();
 
-    let mut per_fn: Vec<FnSummary> = graph
-        .fns
-        .iter()
-        .map(|f| FnSummary {
-            can_panic: body_panics(files[f.file], f.body.0, f.body.1),
-            ..FnSummary::default()
-        })
-        .collect();
+    let mut per_fn = vec![FnSummary::default(); graph.fns.len()];
 
     for _ in 0..MAX_ROUNDS {
         let derived = merged_sources(graph, &per_fn);
@@ -111,19 +98,6 @@ pub fn summarize(graph: &CallGraph, files: &[&[Token]]) -> Summaries {
                     });
                 if hits {
                     per_fn[i].alloc_params.push(p);
-                    changed = true;
-                }
-            }
-            // Transitive panic reachability.
-            if !per_fn[i].can_panic {
-                let reaches = sites[i].iter().any(|site| {
-                    graph
-                        .resolve(&site.callee)
-                        .iter()
-                        .any(|&t| per_fn[t].can_panic)
-                });
-                if reaches {
-                    per_fn[i].can_panic = true;
                     changed = true;
                 }
             }
@@ -201,27 +175,6 @@ fn return_spans(tokens: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize)> {
     spans
 }
 
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-
-/// Direct panicking construct anywhere in the body span (test gates are
-/// irrelevant here — summaries describe the function itself).
-fn body_panics(tokens: &[Token], lo: usize, hi: usize) -> bool {
-    (lo..=hi).any(|i| {
-        let Tok::Ident(name) = &tokens[i].tok else {
-            return false;
-        };
-        let next = tokens.get(i + 1).map(|t| &t.tok);
-        if PANIC_MACROS.contains(&name.as_str()) && next == Some(&Tok::Punct('!')) {
-            return true;
-        }
-        PANIC_METHODS.contains(&name.as_str())
-            && i > lo
-            && tokens[i - 1].tok == Tok::Punct('.')
-            && next == Some(&Tok::Open('('))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,16 +246,6 @@ mod tests {
              fn caller(r: &mut Reader) -> usize { let n = helper(4); n }",
         ]);
         assert!(s.derived_sources.is_empty());
-    }
-
-    #[test]
-    fn can_panic_propagates_over_calls() {
-        let (graph, s) = setup(&["fn boom(x: Option<u8>) -> u8 { x.unwrap() }\n\
-              fn outer(x: Option<u8>) -> u8 { boom(x) }\n\
-              fn safe(x: Option<u8>) -> u8 { x.unwrap_or(0) }"]);
-        assert!(by_name(&graph, &s, "boom").can_panic);
-        assert!(by_name(&graph, &s, "outer").can_panic);
-        assert!(!by_name(&graph, &s, "safe").can_panic);
     }
 
     #[test]
