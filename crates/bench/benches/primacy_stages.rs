@@ -1,17 +1,21 @@
 //! Micro-benchmarks for the individual PRIMACY pipeline stages (Fig. 2
 //! workflow): split, frequency analysis, ID mapping, linearization, ISOBAR
-//! analysis. Backs the Tprec input of the performance model and shows that
-//! the preconditioner itself is far faster than any codec.
+//! analysis, and the fused decode pass that inverts them all. Backs the
+//! Tprec input of the performance model and shows that the preconditioner
+//! itself is far faster than any codec.
 //!
 //! Runs on the in-tree harness (`primacy_bench::harness`).
 
 use primacy_bench::harness::Group;
 use primacy_core::config::IsobarConfig;
+use primacy_core::format::Header;
 use primacy_core::freq::FreqTable;
 use primacy_core::idmap::IdMap;
 use primacy_core::isobar;
-use primacy_core::linearize::{to_columns, to_rows};
-use primacy_core::split::{join_hi_lo, split_hi_lo};
+use primacy_core::linearize::to_columns;
+use primacy_core::reassemble::{reassemble_into, Output, Sections};
+use primacy_core::split::split_hi_lo;
+use primacy_core::PrimacyConfig;
 use primacy_datagen::DatasetId;
 use std::hint::black_box;
 
@@ -32,9 +36,6 @@ fn main() {
     group.bench("split_hi_lo", || {
         black_box(split_hi_lo(black_box(&bytes), 8, 2).unwrap())
     });
-    group.bench("join_hi_lo", || {
-        black_box(join_hi_lo(black_box(&hi), black_box(&lo), 8, 2).unwrap())
-    });
     group.bench("frequency_analysis", || {
         black_box(FreqTable::from_hi_matrix(black_box(&hi), 2))
     });
@@ -46,16 +47,8 @@ fn main() {
         map.encode_hi(&mut data).unwrap();
         black_box(data)
     });
-    group.bench("id_decode", || {
-        let mut data = encoded.clone();
-        map.decode_hi(&mut data).unwrap();
-        black_box(data)
-    });
     group.bench("column_linearize", || {
         black_box(to_columns(black_box(&encoded), n, 2))
-    });
-    group.bench("row_delinearize", || {
-        black_box(to_rows(black_box(&columns), n, 2))
     });
     {
         let cfg = IsobarConfig::default();
@@ -68,6 +61,21 @@ fn main() {
         let report = isobar::analyze(&lo, n, 6, &cfg);
         group.bench("isobar_partition", || {
             black_box(isobar::partition(black_box(&lo), n, 6, report.mask))
+        });
+        // The whole decode-side inverse of the stages above, into a warm
+        // output buffer: what a chunk decode spends outside the codec.
+        let (compressible, raw) = isobar::partition(&lo, n, 6, report.mask);
+        let header = Header::new(&PrimacyConfig::default(), n as u64);
+        let sections = Sections {
+            ids: &columns,
+            mask: report.mask,
+            compressible: &compressible,
+            raw: &raw,
+        };
+        let mut out = vec![0u8; bytes.len()];
+        group.bench("reassemble", || {
+            reassemble_into(&header, &map, black_box(&sections), Output::Fill(&mut out)).unwrap();
+            black_box(&out);
         });
     }
 }

@@ -26,6 +26,7 @@ use crate::error::{PrimacyError, Result};
 use crate::format::{self, Header, Reader};
 use crate::par;
 use crate::pipeline::{self, DecodeScratch, PrimacyCompressor};
+use crate::reassemble::Output;
 use crate::stats::StageTimings;
 use primacy_codecs::checksum::crc32;
 use primacy_codecs::{read_array, Codec, CodecScratch};
@@ -472,6 +473,12 @@ impl<'a> ArchiveReader<'a> {
         scratch: &mut DecodeScratch,
         out: &mut Vec<u8>,
     ) -> Result<()> {
+        out.clear();
+        self.decode_chunk(i, scratch, Output::Append(out))
+    }
+
+    /// Decode chunk `i` into `out` and verify its size and CRC.
+    fn decode_chunk(&self, i: usize, scratch: &mut DecodeScratch, out: Output<'_>) -> Result<()> {
         let _span = trace::span("archive.read_chunk");
         trace::counter("archive.chunks_read", 1);
         let entry = self
@@ -488,7 +495,7 @@ impl<'a> ArchiveReader<'a> {
             .get(entry.offset as usize..end)
             .ok_or(PrimacyError::Truncated)?;
         let mut reader = Reader::new(section, 0, section.len());
-        pipeline::decompress_chunk_into(
+        let (_, plain) = pipeline::decompress_chunk_into(
             &mut reader,
             &self.header,
             self.codec.as_ref(),
@@ -501,10 +508,10 @@ impl<'a> ArchiveReader<'a> {
             .elements
             .checked_mul(self.header.element_size as u64)
             .ok_or(PrimacyError::Truncated)?;
-        if out.len() as u64 != expected {
+        if plain.len() as u64 != expected {
             return Err(PrimacyError::Format("chunk decoded to unexpected size"));
         }
-        let actual = crc32(out);
+        let actual = crc32(plain);
         if actual != entry.crc {
             return Err(PrimacyError::Codec(
                 primacy_codecs::CodecError::ChecksumMismatch {
@@ -596,14 +603,9 @@ impl<'a> ArchiveReader<'a> {
         par::ordered_map(
             slices.into_iter(),
             threads,
-            // Decode state and plaintext buffer reused across every chunk a
-            // worker claims.
-            || (DecodeScratch::new(), Vec::new()),
-            |(scratch, chunk), i, slot| {
-                self.read_chunk_with(i, scratch, chunk)?;
-                slot.copy_from_slice(chunk);
-                Ok(())
-            },
+            // Decode state reused across every chunk a worker claims.
+            DecodeScratch::new,
+            |scratch, i, slot| self.decode_chunk(i, scratch, Output::Fill(slot)),
             |()| Ok(()),
         )?;
         Ok(out)

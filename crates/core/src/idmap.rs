@@ -84,7 +84,8 @@ impl IdMap {
 
     /// Rewrite a row-major high matrix in place: every byte-sequence becomes
     /// its ID. Fails only if a sequence is unmapped (possible when reusing a
-    /// stale index under [`crate::IndexPolicy::Reuse`]).
+    /// stale index under [`crate::IndexPolicy::Reuse`]). The decoder maps
+    /// IDs back in the idmap step of [`crate::reassemble`].
     pub fn encode_hi(&self, hi: &mut [u8]) -> Result<()> {
         if self.hi_bytes == 2 {
             for row in hi.chunks_exact_mut(2) {
@@ -113,30 +114,6 @@ impl IdMap {
     pub fn covers(&self, hi: &[u8]) -> bool {
         let n = hi.len() / self.hi_bytes;
         (0..n).all(|i| self.id_of(hi_key(hi, i, self.hi_bytes)).is_some())
-    }
-
-    /// Inverse of [`IdMap::encode_hi`].
-    pub fn decode_hi(&self, hi: &mut [u8]) -> Result<()> {
-        if self.hi_bytes == 2 {
-            let table = &self.seq_for_id;
-            for row in hi.chunks_exact_mut(2) {
-                let id = u16::from_be_bytes([row[0], row[1]]) as usize;
-                let seq = *table
-                    .get(id)
-                    .ok_or(PrimacyError::Format("ID out of index range"))?;
-                row.copy_from_slice(&seq.to_be_bytes());
-            }
-            return Ok(());
-        }
-        let n = hi.len() / self.hi_bytes;
-        for i in 0..n {
-            let id = hi_key(hi, i, self.hi_bytes);
-            let seq = self
-                .seq_of(id)
-                .ok_or(PrimacyError::Format("ID out of index range"))?;
-            write_hi_key(hi, i, self.hi_bytes, seq);
-        }
-        Ok(())
     }
 
     /// Serialize the index: the sequences in ID order, `hi_bytes` each,
@@ -225,6 +202,7 @@ impl IdMap {
 mod tests {
     use super::*;
     use crate::freq::FreqTable;
+    use crate::reassemble::reference::decode_hi;
 
     fn hi_from_keys(keys: &[u16]) -> Vec<u8> {
         keys.iter()
@@ -260,8 +238,7 @@ mod tests {
         // Most frequent sequence (0x3FF0) must have become ID 0 = two
         // zero bytes.
         assert_eq!(&hi[0..2], &[0, 0]);
-        m.decode_hi(&mut hi).unwrap();
-        assert_eq!(hi, original);
+        assert_eq!(decode_hi(&m, &hi, 2).unwrap(), original);
     }
 
     #[test]
@@ -325,8 +302,7 @@ mod tests {
         let mut data = hi.clone();
         m.encode_hi(&mut data).unwrap();
         assert_eq!(data, vec![1, 1, 0, 0, 0, 2]);
-        m.decode_hi(&mut data).unwrap();
-        assert_eq!(data, hi);
+        assert_eq!(decode_hi(&m, &data, 1).unwrap(), hi);
         let mut buf = Vec::new();
         m.serialize(&mut buf);
         let mut back = IdMap::placeholder();

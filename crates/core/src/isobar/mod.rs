@@ -87,6 +87,7 @@ pub fn analyze(lo: &[u8], rows: usize, cols: usize, cfg: &IsobarConfig) -> Isoba
 /// One sequential pass over the input, scattering into at most `cols`
 /// sequential output streams (the cache-friendly orientation; a
 /// column-at-a-time gather would walk the whole matrix once per column).
+/// The decoder's inverse is the isobar step of [`crate::reassemble`].
 pub fn partition(lo: &[u8], rows: usize, cols: usize, mask: u16) -> (Vec<u8>, Vec<u8>) {
     assert_eq!(lo.len(), rows * cols);
     let comp_cols = mask.count_ones() as usize;
@@ -124,59 +125,6 @@ pub fn partition(lo: &[u8], rows: usize, cols: usize, mask: u16) -> (Vec<u8>, Ve
         start = end;
     }
     (compressible, incompressible)
-}
-
-/// Inverse of [`partition`] into a caller-owned buffer (cleared first,
-/// capacity kept): sequential writes to the row-major output, reading from
-/// at most `cols` sequential column streams. A warm call on a
-/// sufficiently-large `out` performs no allocations.
-pub fn unpartition_into(
-    compressible: &[u8],
-    incompressible: &[u8],
-    rows: usize,
-    cols: usize,
-    mask: u16,
-    out: &mut Vec<u8>,
-) {
-    assert!(
-        cols <= 16,
-        "lo matrix has more columns than any element holds"
-    );
-    out.clear();
-    out.resize(rows * cols, 0);
-    // Source slice per column, in column order. `cols` is bounded by the
-    // element size (≤ 16), so a fixed array avoids a per-call allocation.
-    let mut src: [&[u8]; 16] = [&[]; 16];
-    let (mut ci, mut ii) = (0usize, 0usize);
-    for (c, slot) in src.iter_mut().enumerate().take(cols) {
-        if mask & (1 << c) != 0 {
-            *slot = &compressible[ci..ci + rows];
-            ci += rows;
-        } else {
-            *slot = &incompressible[ii..ii + rows];
-            ii += rows;
-        }
-    }
-    debug_assert_eq!(ci, compressible.len());
-    debug_assert_eq!(ii, incompressible.len());
-    // Blocked scatter (mirror of `partition`).
-    const BLOCK: usize = 4096;
-    let mut start = 0usize;
-    while start < rows {
-        let end = (start + BLOCK).min(rows);
-        let out_block = &mut out[start * cols..end * cols];
-        for (c, col) in src.iter().enumerate().take(cols) {
-            for (slot, &b) in out_block
-                .iter_mut()
-                .skip(c)
-                .step_by(cols)
-                .zip(&col[start..end])
-            {
-                *slot = b;
-            }
-        }
-        start = end;
-    }
 }
 
 #[cfg(test)]
@@ -268,12 +216,11 @@ mod tests {
     fn partition_unpartition_roundtrip() {
         let rows = 997;
         let m = mixed_matrix(rows);
-        let mut back = Vec::new();
         for mask in [0b000u16, 0b001, 0b010, 0b101, 0b111] {
             let (comp, incomp) = partition(&m, rows, 3, mask);
             assert_eq!(comp.len(), rows * mask.count_ones() as usize);
             assert_eq!(comp.len() + incomp.len(), m.len());
-            unpartition_into(&comp, &incomp, rows, 3, mask, &mut back);
+            let back = crate::reassemble::reference::unpartition(&comp, &incomp, rows, 3, mask);
             assert_eq!(back, m, "mask {mask:03b}");
         }
     }

@@ -60,6 +60,8 @@ pub mod linearize;
 mod par;
 /// The end-to-end compression pipeline.
 pub mod pipeline;
+/// The fused decode-side inverse of split, ID map, linearization and ISOBAR.
+pub mod reassemble;
 /// Hi/lo byte-plane splitting.
 pub mod split;
 /// Per-call compression statistics (`CompressionStats`), per-stage wall

@@ -1,5 +1,6 @@
-//! Byte-level linearization (§II-D): row-major ↔ column-major layout of an
-//! N×M byte matrix.
+//! Byte-level linearization (§II-D): the row-major → column-major transpose
+//! of an N×M byte matrix. Its inverse is the linearize step of the fused
+//! decode pass ([`crate::reassemble`]).
 //!
 //! Column order puts each ID byte-column contiguously, turning the high
 //! frequency of low ID values into literal runs of 0-bytes that the backend
@@ -42,47 +43,10 @@ pub fn to_columns(data: &[u8], rows: usize, cols: usize) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`to_columns`].
-pub fn to_rows(data: &[u8], rows: usize, cols: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    to_rows_into(data, rows, cols, &mut out);
-    out
-}
-
-/// [`to_rows`] into a caller-owned buffer (cleared first, capacity kept): a
-/// warm call on a sufficiently-large `out` performs no allocations, which the
-/// archive's steady-state decode path relies on.
-pub fn to_rows_into(data: &[u8], rows: usize, cols: usize, out: &mut Vec<u8>) {
-    assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
-    out.clear();
-    if cols <= 1 {
-        out.extend_from_slice(data);
-        return;
-    }
-    out.resize(data.len(), 0);
-    if cols == 2 {
-        // Hot shape: re-interleave the two column halves in one pass.
-        let (c0, c1) = data.split_at(rows);
-        for ((pair, &x), &y) in out.chunks_exact_mut(2).zip(c0.iter()).zip(c1.iter()) {
-            pair[0] = x;
-            pair[1] = y;
-        }
-        return;
-    }
-    for r0 in (0..rows).step_by(TILE_ROWS) {
-        let r1 = (r0 + TILE_ROWS).min(rows);
-        for c in 0..cols {
-            let col = &data[c * rows + r0..c * rows + r1];
-            for (&b, row) in col.iter().zip(out[r0 * cols..].chunks_exact_mut(cols)) {
-                row[c] = b;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reassemble::reference::to_rows;
 
     #[test]
     fn transpose_small_matrix() {

@@ -6,9 +6,10 @@ use crate::format::{self, Header, Reader};
 use crate::freq::FreqTable;
 use crate::idmap::IdMap;
 use crate::isobar;
-use crate::linearize::{to_columns, to_rows_into};
+use crate::linearize::to_columns;
 use crate::par;
-use crate::split::{join_hi_lo_into, split_hi_lo};
+use crate::reassemble::{self, reassemble_into, Output, Sections};
+use crate::split::split_hi_lo;
 use crate::stats::{
     CompressionStats, StageTimings, STAGE_DEFLATE, STAGE_FREQ, STAGE_IDMAP, STAGE_ISOBAR,
     STAGE_LINEARIZE, STAGE_SPLIT,
@@ -327,10 +328,10 @@ impl PrimacyCompressor {
             .min(64 * 1024 * 1024) as usize;
         let mut out = Vec::with_capacity(claimed);
         let mut reader = Reader::new(input, pos, body_end);
-        // One scratch and one plaintext buffer for the whole stream; the map
-        // a chunk leaves in the scratch is the one its successor may reuse.
+        // One scratch for the whole stream; the map a chunk leaves in it is
+        // the one its successor may reuse. Each chunk decodes straight onto
+        // the tail of `out`.
         let mut scratch = DecodeScratch::new();
-        let mut chunk = Vec::new();
         let mut decoded_elements = 0u64;
         let mut timings = StageTimings::default();
         let mut chunks = 0usize;
@@ -339,14 +340,14 @@ impl PrimacyCompressor {
             if reader.remaining() == 0 {
                 return Err(PrimacyError::Format("stream ends before all elements"));
             }
-            let own_index = decompress_chunk_into(
+            let (own_index, chunk) = decompress_chunk_into(
                 &mut reader,
                 &header,
                 codec.as_ref(),
                 chunks > 0,
                 &mut scratch,
                 &mut timings,
-                &mut chunk,
+                Output::Append(&mut out),
             )?;
             let n = (chunk.len() / header.element_size) as u64;
             let after = decoded_elements
@@ -355,7 +356,6 @@ impl PrimacyCompressor {
             if after > header.total_elements {
                 return Err(PrimacyError::Format("chunk element count out of range"));
             }
-            out.extend_from_slice(&chunk);
             decoded_elements = after;
             chunks += 1;
             if own_index {
@@ -408,24 +408,22 @@ pub(crate) struct ChunkInfo {
 }
 
 /// Reusable working memory of the chunk decoder ([`decompress_chunk_into`]).
-/// Holds the backend codec's decode state, the index in effect, and every
-/// intermediate matrix the inverse pipeline materializes; a warm scratch
-/// makes steady-state decodes allocation-free (the counting-allocator test
-/// in `crates/core/tests/read_alloc_count.rs` enforces this).
+/// Holds the backend codec's decode state, the index in effect, and the two
+/// inflated streams the fused reassembly pass ([`crate::reassemble`]) reads;
+/// that pass keeps its tile buffers on the stack and writes each element
+/// straight into the caller's output. A warm scratch makes steady-state
+/// decodes allocation-free (the counting-allocator test in
+/// `crates/core/tests/read_alloc_count.rs` enforces this).
 pub struct DecodeScratch {
     /// Backend codec decode state (deflate Huffman tables etc.).
     pub(crate) codec: CodecScratch,
     /// The index in effect: reloaded in O(k) from each chunk that carries
     /// its own, without touching the full domain table.
     pub(crate) map: IdMap,
-    /// Decompressed hi matrix in stream (possibly column) order.
+    /// Inflated ID stream, in stream (possibly column) order.
     pub(crate) hi_lin: Vec<u8>,
-    /// Row-major hi matrix.
-    pub(crate) hi: Vec<u8>,
-    /// Decompressed compressible lo columns.
+    /// Inflated compressible lo columns.
     pub(crate) compressible: Vec<u8>,
-    /// Re-interleaved row-major lo matrix.
-    pub(crate) lo: Vec<u8>,
 }
 
 impl DecodeScratch {
@@ -435,9 +433,7 @@ impl DecodeScratch {
             codec: CodecScratch::new(),
             map: IdMap::placeholder(),
             hi_lin: Vec::new(),
-            hi: Vec::new(),
             compressible: Vec::new(),
-            lo: Vec::new(),
         }
     }
 }
@@ -448,31 +444,37 @@ impl Default for DecodeScratch {
     }
 }
 
-/// Decode one chunk section from `reader` into `out` (cleared first,
-/// capacity kept), reusing all intermediate storage from `scratch` and adding
-/// each stage's wall time to `timings`. The one parser of the section layout,
-/// for both containers. Returns whether the chunk carried its own index.
+/// Decode one chunk section from `reader` into `out`, reusing all working
+/// memory from `scratch` and adding each stage's wall time to `timings`. The
+/// one parser of the section layout, for both containers. Returns whether
+/// the chunk carried its own index, and the chunk's bytes in `out`.
 ///
 /// A chunk without its own index decodes through the map the previous chunk
 /// left in `scratch` only if `may_reuse_index` is set; otherwise it fails as
 /// reusing a missing index. The stream sets it for every chunk after its
 /// first. The archive never does, so an archive chunk cannot borrow the index
 /// of whichever chunk the scratch decoded before.
-pub(crate) fn decompress_chunk_into(
+///
+/// An [`Output::Fill`] slice of another size than the chunk fails as
+/// `Format("chunk decoded to unexpected size")`, before anything is written.
+pub(crate) fn decompress_chunk_into<'o>(
     reader: &mut Reader<'_>,
     header: &Header,
     codec: &dyn Codec,
     may_reuse_index: bool,
     scratch: &mut DecodeScratch,
     timings: &mut StageTimings,
-    out: &mut Vec<u8>,
-) -> Result<bool> {
+    out: Output<'o>,
+) -> Result<(bool, &'o [u8])> {
     let lo_cols = header.element_size - header.hi_bytes;
     let n = reader.varint()? as usize;
     if n == 0 {
         return Err(PrimacyError::Format("empty chunk section"));
     }
     let own_index = reader.byte()? & format::FLAG_OWN_INDEX != 0;
+    // Loading the index is ID-decode work: it is booked under `idmap` with
+    // the pass's mapping step.
+    let mut index_time = Duration::ZERO;
     if own_index {
         let k = reader.varint()? as usize;
         if k > 1 << (8 * header.hi_bytes) {
@@ -480,7 +482,9 @@ pub(crate) fn decompress_chunk_into(
         }
         // k <= 65536 and hi_bytes <= 2, so this product cannot overflow.
         let bytes = reader.bytes(k * header.hi_bytes)?;
+        let t = Instant::now();
         scratch.map.reload(bytes, k, header.hi_bytes)?;
+        index_time = t.elapsed();
     } else if !may_reuse_index {
         return Err(PrimacyError::Format("chunk reuses a missing index"));
     }
@@ -501,7 +505,6 @@ pub(crate) fn decompress_chunk_into(
         .ok_or(PrimacyError::Truncated)?;
     let incompressible = reader.bytes(raw_len)?;
 
-    // Reverse the hi pipeline.
     let t = Instant::now();
     codec.decompress_into(hi_comp, &mut scratch.codec, &mut scratch.hi_lin)?;
     stage(&mut timings.codec, STAGE_DEFLATE, t);
@@ -509,52 +512,63 @@ pub(crate) fn decompress_chunk_into(
         return Err(PrimacyError::Format("hi section has wrong size"));
     }
     let t = Instant::now();
-    match header.linearization {
-        Linearization::Row => {
-            scratch.hi.clear();
-            scratch.hi.extend_from_slice(&scratch.hi_lin);
-        }
-        Linearization::Column => to_rows_into(&scratch.hi_lin, n, header.hi_bytes, &mut scratch.hi),
-    }
-    stage(&mut timings.linearization, STAGE_LINEARIZE, t);
-    let t = Instant::now();
-    scratch.map.decode_hi(&mut scratch.hi)?;
-    stage(&mut timings.id_mapping, STAGE_IDMAP, t);
-
-    // Reverse the lo pipeline.
-    let t = Instant::now();
-    if lo_len == 0 {
+    let lo = if lo_len == 0 {
         scratch.compressible.clear();
+        Ok(())
     } else {
-        codec.decompress_into(lo_comp, &mut scratch.codec, &mut scratch.compressible)?;
-    }
+        codec.decompress_into(lo_comp, &mut scratch.codec, &mut scratch.compressible)
+    };
     stage(&mut timings.codec, STAGE_DEFLATE, t);
-    if n.checked_mul(mask.count_ones() as usize) != Some(scratch.compressible.len()) {
-        return Err(PrimacyError::Format("lo section has wrong size"));
+    let sized = lo.map_err(PrimacyError::from).and_then(|()| {
+        if n.checked_mul(mask.count_ones() as usize) != Some(scratch.compressible.len()) {
+            return Err(PrimacyError::Format("lo section has wrong size"));
+        }
+        match &out {
+            Output::Fill(s) if n.checked_mul(header.element_size) != Some(s.len()) => {
+                Err(PrimacyError::Format("chunk decoded to unexpected size"))
+            }
+            _ => Ok(()),
+        }
+    });
+    if let Err(e) = sized {
+        // Errors follow the section's order: a bad ID is reported ahead of
+        // these faults, though the IDs are mapped only in the pass below.
+        reassemble::check_ids(header, &scratch.map, &scratch.hi_lin)?;
+        return Err(e);
     }
-    let t = Instant::now();
-    isobar::unpartition_into(
-        &scratch.compressible,
-        incompressible,
-        n,
-        lo_cols,
-        mask,
-        &mut scratch.lo,
-    );
-    stage(&mut timings.isobar, STAGE_ISOBAR, t);
 
-    let t = Instant::now();
-    join_hi_lo_into(
-        &scratch.hi,
-        &scratch.lo,
-        header.element_size,
-        header.hi_bytes,
-        out,
-    )?;
-    stage(&mut timings.split, STAGE_SPLIT, t);
+    let sections = Sections {
+        ids: &scratch.hi_lin,
+        mask,
+        compressible: &scratch.compressible,
+        raw: incompressible,
+    };
+    let (mut steps, chunk): (StageTimings, &'o [u8]) = match out {
+        Output::Append(v) => {
+            let start = v.len();
+            let steps = reassemble_into(header, &scratch.map, &sections, Output::Append(&mut *v))?;
+            let v: &'o Vec<u8> = v;
+            (steps, v.get(start..).unwrap_or_default())
+        }
+        Output::Fill(s) => {
+            let steps = reassemble_into(header, &scratch.map, &sections, Output::Fill(&mut *s))?;
+            let s: &'o [u8] = s;
+            (steps, s)
+        }
+    };
+    steps.id_mapping += index_time;
+    for (name, dt) in [
+        (STAGE_LINEARIZE, steps.linearization),
+        (STAGE_IDMAP, steps.id_mapping),
+        (STAGE_ISOBAR, steps.isobar),
+        (STAGE_SPLIT, steps.split),
+    ] {
+        trace::span_duration(name, dt);
+    }
+    timings.add(&steps);
     trace::counter("chunk.decompress", 1);
-    trace::counter("decompress.bytes_out", out.len() as u64);
-    Ok(own_index)
+    trace::counter("decompress.bytes_out", chunk.len() as u64);
+    Ok((own_index, chunk))
 }
 
 #[cfg(test)]
@@ -784,6 +798,77 @@ mod tests {
         let comp = writer.compress_f64(&values).unwrap();
         let reader = compressor();
         assert_eq!(reader.decompress_f64(&comp).unwrap(), values);
+    }
+
+    /// Errors follow section order: a chunk with a bad ID and a bad lo
+    /// section or output size reports the bad ID; with every ID mapped, each
+    /// other fault shows as itself.
+    #[test]
+    fn a_bad_id_is_reported_before_later_section_faults() {
+        let header = Header::new(&PrimacyConfig::default(), 4);
+        let codec = header.codec.build();
+        // Four elements: an index of one sequence, one compressible lo
+        // column and five raw ones.
+        let section = |ids: &[u8], lo_comp: &[u8]| {
+            let mut s = Vec::new();
+            write_varint(&mut s, 4);
+            s.push(format::FLAG_OWN_INDEX);
+            write_varint(&mut s, 1);
+            s.extend_from_slice(&[0x3F, 0xF0]);
+            let hi = codec.compress(ids).unwrap();
+            write_varint(&mut s, hi.len() as u64);
+            s.extend_from_slice(&hi);
+            s.extend_from_slice(&1u16.to_le_bytes());
+            write_varint(&mut s, lo_comp.len() as u64);
+            s.extend_from_slice(lo_comp);
+            s.extend_from_slice(&[0u8; 20]);
+            s
+        };
+        let decode = |section: &[u8], out: Output<'_>| {
+            let mut reader = Reader::new(section, 0, section.len());
+            let mut scratch = DecodeScratch::new();
+            let mut timings = StageTimings::default();
+            decompress_chunk_into(
+                &mut reader,
+                &header,
+                codec.as_ref(),
+                false,
+                &mut scratch,
+                &mut timings,
+                out,
+            )
+            .map(|(own_index, chunk)| (own_index, chunk.len()))
+        };
+        // Column order: the hi ID bytes, then the lo ID bytes; row 1 has ID 1.
+        let (bad_ids, good_ids) = ([0u8, 0, 0, 0, 0, 1, 0, 0], [0u8; 8]);
+        let good_lo = codec.compress(&[1, 2, 3, 4]).unwrap();
+        let short_lo = codec.compress(&[1, 2, 3]).unwrap();
+        let broken_lo = [0xFFu8; 6];
+        let bad_id = Err(PrimacyError::Format("ID out of index range"));
+        for lo in [&good_lo[..], &short_lo, &broken_lo] {
+            let s = section(&bad_ids, lo);
+            assert_eq!(decode(&s, Output::Append(&mut Vec::new())), bad_id);
+            assert_eq!(decode(&s, Output::Fill(&mut [0u8; 32])), bad_id);
+            assert_eq!(decode(&s, Output::Fill(&mut [0u8; 24])), bad_id);
+        }
+        let s = section(&good_ids, &good_lo);
+        assert_eq!(decode(&s, Output::Append(&mut Vec::new())), Ok((true, 32)));
+        assert_eq!(decode(&s, Output::Fill(&mut [0u8; 32])), Ok((true, 32)));
+        assert_eq!(
+            decode(&s, Output::Fill(&mut [0u8; 24])),
+            Err(PrimacyError::Format("chunk decoded to unexpected size"))
+        );
+        assert_eq!(
+            decode(&section(&good_ids, &short_lo), Output::Fill(&mut [0u8; 24])),
+            Err(PrimacyError::Format("lo section has wrong size"))
+        );
+        assert!(matches!(
+            decode(
+                &section(&good_ids, &broken_lo),
+                Output::Fill(&mut [0u8; 24])
+            ),
+            Err(PrimacyError::Codec(_))
+        ));
     }
 
     #[test]

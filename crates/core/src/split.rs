@@ -4,7 +4,8 @@
 //! *big-endian* per-element order, so that byte column 0 is the sign +
 //! high exponent byte regardless of host endianness. The matrix is split
 //! into an N×`hi_bytes` high-order part (fed to the ID mapper) and an
-//! N×`lo_bytes` low-order part (fed to ISOBAR).
+//! N×`lo_bytes` low-order part (fed to ISOBAR). The decoder joins them
+//! again in the split step of the fused pass ([`crate::reassemble`]).
 
 use crate::error::{PrimacyError, Result};
 
@@ -80,82 +81,6 @@ pub fn split_hi_lo(
     Ok((hi, lo))
 }
 
-/// Inverse of [`split_hi_lo`]: reassemble little-endian element bytes.
-pub fn join_hi_lo(hi: &[u8], lo: &[u8], element_size: usize, hi_bytes: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    join_hi_lo_into(hi, lo, element_size, hi_bytes, &mut out)?;
-    Ok(out)
-}
-
-/// [`join_hi_lo`] into a caller-owned buffer (cleared first, capacity kept):
-/// a warm call on a sufficiently-large `out` performs no allocations.
-pub fn join_hi_lo_into(
-    hi: &[u8],
-    lo: &[u8],
-    element_size: usize,
-    hi_bytes: usize,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    let lo_bytes = element_size - hi_bytes;
-    if !hi.len().is_multiple_of(hi_bytes) || !lo.len().is_multiple_of(lo_bytes) {
-        return Err(PrimacyError::Format("hi/lo matrices have ragged rows"));
-    }
-    let n = hi.len() / hi_bytes;
-    if lo.len() / lo_bytes != n {
-        return Err(PrimacyError::Format("hi/lo matrices disagree on row count"));
-    }
-    out.clear();
-    out.resize(n * element_size, 0);
-    if element_size == 8 && hi_bytes == 2 {
-        // Hot path for f64, mirroring the split fast path: a u16 load for the
-        // hi pair, one overlapping u64 load that grabs the six lo bytes (plus
-        // two bytes of the next row, shifted away), and a single u64 store.
-        for i in 0..n.saturating_sub(1) {
-            let mut h = [0u8; 2];
-            h.copy_from_slice(&hi[i * 2..i * 2 + 2]);
-            let mut l = [0u8; 8];
-            l.copy_from_slice(&lo[i * 6..i * 6 + 8]);
-            let v = u64::from(u16::from_be_bytes(h)) << 48 | u64::from_be_bytes(l) >> 16;
-            out[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        if n > 0 {
-            let i = n - 1;
-            let mut be = [0u8; 8];
-            be[0..2].copy_from_slice(&hi[i * 2..i * 2 + 2]);
-            be[2..8].copy_from_slice(&lo[i * 6..i * 6 + 6]);
-            out[i * 8..i * 8 + 8].copy_from_slice(&u64::from_be_bytes(be).to_le_bytes());
-        }
-        return Ok(());
-    }
-    if element_size == 4 && hi_bytes == 1 {
-        // Hot path for f32: assemble the big-endian element in a register.
-        for ((elem, &h), l) in out
-            .chunks_exact_mut(4)
-            .zip(hi.iter())
-            .zip(lo.chunks_exact(3))
-        {
-            let mut be = [0u8; 4];
-            be[0] = h;
-            be[1..4].copy_from_slice(l);
-            elem.copy_from_slice(&u32::from_be_bytes(be).to_le_bytes());
-        }
-        return Ok(());
-    }
-    for ((elem, h), l) in out
-        .chunks_exact_mut(element_size)
-        .zip(hi.chunks_exact(hi_bytes))
-        .zip(lo.chunks_exact(lo_bytes))
-    {
-        for (k, &b) in h.iter().enumerate() {
-            elem[element_size - 1 - k] = b;
-        }
-        for (k, &b) in l.iter().enumerate() {
-            elem[element_size - 1 - hi_bytes - k] = b;
-        }
-    }
-    Ok(())
-}
-
 /// Read the high-order byte-sequence of row `i` as an integer key
 /// (`hi_bytes` ∈ {1, 2}).
 #[inline]
@@ -185,6 +110,7 @@ pub fn write_hi_key(out: &mut [u8], i: usize, hi_bytes: usize, key: u16) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reassemble::reference::join;
 
     #[test]
     fn split_extracts_sign_and_exponent_bytes() {
@@ -203,8 +129,7 @@ mod tests {
         let (hi, lo) = split_hi_lo(&bytes, 8, 2).unwrap();
         assert_eq!(hi.len(), 500 * 2);
         assert_eq!(lo.len(), 500 * 6);
-        let back = join_hi_lo(&hi, &lo, 8, 2).unwrap();
-        assert_eq!(back, bytes);
+        assert_eq!(join(&hi, &lo, 8, 2), bytes);
     }
 
     #[test]
@@ -213,16 +138,12 @@ mod tests {
         let (hi, lo) = split_hi_lo(&bytes, 4, 1).unwrap();
         assert_eq!(hi.len(), 400);
         assert_eq!(lo.len(), 1200);
-        assert_eq!(join_hi_lo(&hi, &lo, 4, 1).unwrap(), bytes);
+        assert_eq!(join(&hi, &lo, 4, 1), bytes);
     }
 
     #[test]
     fn ragged_input_rejected() {
         assert!(split_hi_lo(&[1, 2, 3], 8, 2).is_err());
-        assert!(join_hi_lo(&[1], &[1, 2, 3, 4, 5, 6], 8, 2).is_err());
-        assert!(join_hi_lo(&[1, 2], &[1, 2, 3, 4, 5], 8, 2).is_err());
-        // Row-count disagreement.
-        assert!(join_hi_lo(&[1, 2, 3, 4], &[1, 2, 3, 4, 5, 6], 8, 2).is_err());
     }
 
     #[test]
@@ -268,11 +189,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(
-                join_hi_lo(&hi, &lo, es, hb).unwrap(),
-                input,
-                "{es},{hb},{n}"
-            );
+            assert_eq!(join(&hi, &lo, es, hb), input, "{es},{hb},{n}");
         }
     }
 
@@ -280,7 +197,6 @@ mod tests {
     fn empty_input_is_fine() {
         let (hi, lo) = split_hi_lo(&[], 8, 2).unwrap();
         assert!(hi.is_empty() && lo.is_empty());
-        assert_eq!(join_hi_lo(&hi, &lo, 8, 2).unwrap(), Vec::<u8>::new());
     }
 
     #[test]

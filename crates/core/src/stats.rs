@@ -36,7 +36,8 @@ pub struct StageTimings {
     pub split: Duration,
     /// Frequency analysis + index generation (compress only).
     pub frequency_analysis: Duration,
-    /// ID encode/decode of the high-order bytes.
+    /// ID encode/decode of the high-order bytes (on decode, with loading
+    /// each chunk's index).
     pub id_mapping: Duration,
     /// Row↔column linearization.
     pub linearization: Duration,

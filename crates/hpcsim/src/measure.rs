@@ -71,7 +71,7 @@ pub fn measure_primacy(config: &PrimacyConfig, bytes: &[u8]) -> Result<MeasuredR
     let codec_secs = stats.timings.codec.as_secs_f64();
     // Decode-side attribution from the measured per-stage timings: codec
     // time is the decompressor proper, everything else is the inverse
-    // preconditioner (delinearize, ID decode, unpartition, rejoin).
+    // preconditioner (the fused reassembly pass).
     let dec_codec_secs = dec_stats.timings.codec.as_secs_f64().max(1e-9);
     let dec_prec_secs = (decompress_secs - dec_codec_secs).max(1e-9);
     let n = bytes.len().max(1) as f64;

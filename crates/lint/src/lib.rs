@@ -40,13 +40,14 @@ pub mod taint;
 /// contents decode *untrusted* external bytes: the `index` rule is
 /// enforced there in addition to the workspace-wide rules. Entries ending
 /// in `/` match whole directories.
-pub const UNTRUSTED_MODULES: [&str; 8] = [
+pub const UNTRUSTED_MODULES: [&str; 9] = [
     "crates/codecs/src/deflate/decode.rs",
     "crates/codecs/src/lzr/",
     "crates/codecs/src/bwt/",
     "crates/codecs/src/fpz/",
     "crates/core/src/format.rs",
     "crates/core/src/archive.rs",
+    "crates/core/src/reassemble.rs",
     "crates/core/src/stream.rs",
     "crates/serve/src/protocol.rs",
 ];

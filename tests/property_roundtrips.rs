@@ -11,10 +11,13 @@
 use primacy_suite::codecs::bwt::{bwt_forward, bwt_inverse, mtf_forward, mtf_inverse};
 use primacy_suite::codecs::deflate::{deflate, inflate, Level};
 use primacy_suite::codecs::CodecKind;
+use primacy_suite::core::format::Header;
 use primacy_suite::core::freq::FreqTable;
 use primacy_suite::core::idmap::IdMap;
-use primacy_suite::core::linearize::{to_columns, to_rows};
-use primacy_suite::core::split::{join_hi_lo, split_hi_lo};
+use primacy_suite::core::isobar::partition;
+use primacy_suite::core::linearize::to_columns;
+use primacy_suite::core::reassemble::{reassemble_into, Output, Sections};
+use primacy_suite::core::split::split_hi_lo;
 use primacy_suite::core::{PrimacyCompressor, PrimacyConfig};
 use primacy_suite::datagen::Rng;
 
@@ -189,8 +192,32 @@ fn split_join_inverse() {
     check("split_join_inverse", |rng| {
         let values = f64_vec(rng);
         let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let (hi, lo) = split_hi_lo(&bytes, 8, 2).unwrap();
-        assert_eq!(join_hi_lo(&hi, &lo, 8, 2).unwrap(), bytes);
+        // Split, then join again through the decoder's fused pass: the ID
+        // stream in row order and every lo column raw.
+        let (mut hi, lo) = split_hi_lo(&bytes, 8, 2).unwrap();
+        let n = values.len();
+        let map = IdMap::from_freq(&FreqTable::from_hi_matrix(&hi, 2), 2).unwrap();
+        map.encode_hi(&mut hi).unwrap();
+        let (compressible, raw) = partition(&lo, n, 6, 0);
+        let cfg = PrimacyConfig {
+            linearization: primacy_suite::core::Linearization::Row,
+            ..Default::default()
+        };
+        let sections = Sections {
+            ids: &hi,
+            mask: 0,
+            compressible: &compressible,
+            raw: &raw,
+        };
+        let mut back = Vec::new();
+        reassemble_into(
+            &Header::new(&cfg, n as u64),
+            &map,
+            &sections,
+            Output::Append(&mut back),
+        )
+        .unwrap();
+        assert_eq!(back, bytes);
     });
 }
 
@@ -202,8 +229,10 @@ fn transpose_inverse() {
         let cols = rng.gen_range(1..8usize);
         let rows = data.len() / cols;
         let data = &data[..rows * cols];
+        // Column-major rows×cols is row-major cols×rows: transposing back
+        // restores the input.
         let t = to_columns(data, rows, cols);
-        assert_eq!(to_rows(&t, rows, cols), data.to_vec());
+        assert_eq!(to_columns(&t, cols, rows), data.to_vec());
     });
 }
 
@@ -233,8 +262,14 @@ fn idmap_is_bijective_on_present_sequences() {
         // Encode/decode of the matrix is the identity.
         let mut enc = hi.clone();
         map.encode_hi(&mut enc).unwrap();
-        map.decode_hi(&mut enc).unwrap();
-        assert_eq!(enc, hi);
+        let dec: Vec<u8> = enc
+            .chunks_exact(2)
+            .flat_map(|id| {
+                let seq = map.seq_of(u16::from_be_bytes([id[0], id[1]]));
+                seq.expect("encoded IDs are mapped").to_be_bytes()
+            })
+            .collect();
+        assert_eq!(dec, hi);
     });
 }
 
