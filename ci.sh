@@ -43,6 +43,7 @@ lint() {
     run dep_edges
     run serve_off_trace
     run codec_entry_points
+    run stage_sequence_once
     local lint_t0=$SECONDS
     run ./target/release/primacy-lint . --baseline lint-baseline.json
     local lint_dt=$((SECONDS - lint_t0))
@@ -96,6 +97,23 @@ codec_entry_points() {
     if [[ -n "$defs" ]]; then
         echo "==> crates/codecs/src defines a codec entry point beside the Codec trait:" >&2
         echo "$defs" >&2
+        return 1
+    fi
+}
+
+# The split → freq → ID map → linearize → ISOBAR sequence lives once, in
+# the chunk encoder `pipeline::precondition`: a call to `IdMap::from_freq`
+# or `.encode_hi(` in any file under `crates/*/src` other than `idmap.rs`
+# and the encoder's `pipeline.rs` fails the gate. The per-stage timing
+# bench (`crates/bench/benches/primacy_stages.rs`) and the test
+# directories sit outside `src` and stay out of the check.
+stage_sequence_once() {
+    local calls
+    calls=$(grep -rnE 'IdMap::from_freq|\.encode_hi\(' crates/*/src |
+        grep -vE '^crates/core/src/(idmap|pipeline)\.rs:' || true)
+    if [[ -n "$calls" ]]; then
+        echo "==> the chunk-encoder stage sequence is written out beside pipeline::precondition:" >&2
+        echo "$calls" >&2
         return 1
     fi
 }

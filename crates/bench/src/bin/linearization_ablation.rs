@@ -15,30 +15,32 @@
 
 use primacy_bench::{dataset_bytes, dataset_elements, Report};
 use primacy_codecs::{Codec, CodecKind};
-use primacy_core::freq::FreqTable;
-use primacy_core::idmap::IdMap;
-use primacy_core::linearize::to_columns;
+use primacy_core::pipeline::precondition;
 use primacy_core::split::split_hi_lo;
-use primacy_core::{Linearization, PrimacyCompressor, PrimacyConfig};
+use primacy_core::{EncodeScratch, Linearization, PrimacyCompressor, PrimacyConfig};
 use primacy_datagen::DatasetId;
 use std::time::Instant;
 
-/// Compress just the ID bytes of one dataset under a given treatment,
-/// returning (ratio, MB/s).
+/// Compress just the ID bytes of one dataset, returning (ratio, MB/s):
+/// the raw hi bytes of the split for `None`, or the encoder's ranked IDs in
+/// the given linearization.
 fn id_bytes_experiment(
     bytes: &[u8],
-    ranked_ids: bool,
-    column: bool,
+    ranked_ids: Option<Linearization>,
     codec: &dyn Codec,
 ) -> (f64, f64) {
-    let (mut hi, _lo) = split_hi_lo(bytes, 8, 2).expect("aligned input");
-    let n = hi.len() / 2;
-    if ranked_ids {
-        let freq = FreqTable::from_hi_matrix(&hi, 2);
-        let map = IdMap::from_freq(&freq, 2).expect("sane domain");
-        map.encode_hi(&mut hi).expect("all sequences mapped");
-    }
-    let data = if column { to_columns(&hi, n, 2) } else { hi };
+    let data = match ranked_ids {
+        None => split_hi_lo(bytes, 8, 2).expect("aligned input").0,
+        Some(linearization) => {
+            let cfg = PrimacyConfig {
+                linearization,
+                ..Default::default()
+            };
+            precondition(&cfg, bytes, false, &mut EncodeScratch::new())
+                .expect("aligned input")
+                .ids
+        }
+    };
     let t0 = Instant::now();
     let comp = codec.compress(&data).expect("compress");
     let secs = t0.elapsed().as_secs_f64();
@@ -71,9 +73,11 @@ fn main() {
         DatasetId::NumComet,
     ] {
         let bytes = dataset_bytes(id);
-        let (raw_cr, _) = id_bytes_experiment(&bytes, false, false, codec.as_ref());
-        let (row_cr, row_tp) = id_bytes_experiment(&bytes, true, false, codec.as_ref());
-        let (col_cr, col_tp) = id_bytes_experiment(&bytes, true, true, codec.as_ref());
+        let (raw_cr, _) = id_bytes_experiment(&bytes, None, codec.as_ref());
+        let (row_cr, row_tp) =
+            id_bytes_experiment(&bytes, Some(Linearization::Row), codec.as_ref());
+        let (col_cr, col_tp) =
+            id_bytes_experiment(&bytes, Some(Linearization::Column), codec.as_ref());
         let cr_gain = col_cr / row_cr - 1.0;
         let tp_gain = col_tp / row_tp - 1.0;
         cr_gains.push(cr_gain);

@@ -3,13 +3,15 @@
 //!
 //! Run with `cargo run --release -p primacy-bench --bin table3_compression`.
 //! Columns mirror the paper's table; each measured value is printed next to
-//! the paper's number so deviations are visible at a glance. Expectations
+//! the paper's number so deviations are visible at a glance. Each
+//! throughput cell is the median of [`ROUNDS`] rounds that alternate zlib
+//! and PRIMACY. Expectations
 //! (paper): PRIMACY wins CR on 19/20 datasets (all but msg_sppm), wins CTP
 //! and DTP by 3–4× on average, and keeps its CR advantage on permuted data.
 
 use primacy_bench::{dataset_elements, mbps, Comparison, Report};
 use primacy_codecs::{Codec, CodecKind};
-use primacy_core::{PrimacyCompressor, PrimacyConfig};
+use primacy_core::{PrimacyCompressor, PrimacyConfig, StageTimings};
 use primacy_datagen::{permute, DatasetId};
 use std::time::Instant;
 
@@ -25,37 +27,55 @@ struct Row {
     primacy_dtp: f64,
 }
 
-fn measure_codec(codec: &dyn Codec, bytes: &[u8]) -> (f64, f64, f64) {
+/// Timed rounds per throughput cell. Each cell is the median of its rounds,
+/// and every round times zlib and PRIMACY back to back, so host drift falls
+/// on both alike.
+const ROUNDS: usize = 5;
+
+/// Run `f` and return its result with its wall time in seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
-    let comp = codec.compress(bytes).expect("compress");
-    let c_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let back = codec.decompress(&comp).expect("decompress");
-    let d_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(back, bytes, "codec roundtrip failed");
-    let n = bytes.len() as f64;
-    (n / comp.len() as f64, n / 1e6 / c_secs, n / 1e6 / d_secs)
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
 }
 
-fn measure_primacy(
-    compressor: &PrimacyCompressor,
+/// `[zlib CR, PRIMACY CR, zlib CTP, PRIMACY CTP, zlib DTP, PRIMACY DTP]` on
+/// `bytes`, each throughput the median of `rounds` rounds, and the stage
+/// timings of PRIMACY's median compress call. Every round checks that both
+/// codecs round-trip.
+fn measure(
+    zlib: &dyn Codec,
+    primacy: &PrimacyCompressor,
     bytes: &[u8],
-) -> (f64, f64, f64, primacy_core::StageTimings) {
-    let t0 = Instant::now();
-    let (comp, stats) = compressor
-        .compress_bytes_with_stats(bytes)
-        .expect("compress");
-    let c_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let back = compressor.decompress_bytes(&comp).expect("decompress");
-    let d_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(back, bytes, "primacy roundtrip failed");
+    rounds: usize,
+) -> ([f64; 6], StageTimings) {
+    let mut secs = [(); 4].map(|()| Vec::with_capacity(rounds));
+    let mut calls = Vec::with_capacity(rounds);
+    let mut lens = (0, 0);
+    for _ in 0..rounds {
+        let (z, zc) = timed(|| zlib.compress(bytes).expect("zlib compress"));
+        let ((p, stats), pc) =
+            timed(|| primacy.compress_bytes_with_stats(bytes).expect("compress"));
+        let (z_back, zd) = timed(|| zlib.decompress(&z).expect("zlib decompress"));
+        let (p_back, pd) = timed(|| primacy.decompress_bytes(&p).expect("decompress"));
+        assert_eq!(z_back, bytes, "codec roundtrip failed");
+        assert_eq!(p_back, bytes, "primacy roundtrip failed");
+        for (cell, t) in secs.iter_mut().zip([zc, pc, zd, pd]) {
+            cell.push(t);
+        }
+        calls.push((pc, stats.timings));
+        lens = (z.len(), p.len());
+    }
+    calls.sort_by(|a, b| a.0.total_cmp(&b.0));
     let n = bytes.len() as f64;
+    let [zc, pc, zd, pd] = secs.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        n / 1e6 / s[s.len() / 2]
+    });
+    let ratios = [n / lens.0 as f64, n / lens.1 as f64];
     (
-        n / comp.len() as f64,
-        n / 1e6 / c_secs,
-        n / 1e6 / d_secs,
-        stats.timings,
+        [ratios[0], ratios[1], zc, pc, zd, pd],
+        calls[calls.len() / 2].1,
     )
 }
 
@@ -81,10 +101,10 @@ fn main() {
         let permuted = permute(&values);
         let perm_bytes: Vec<u8> = permuted.iter().flat_map(|v| v.to_le_bytes()).collect();
 
-        let (zcr, zctp, zdtp) = measure_codec(zlib.as_ref(), &bytes);
-        let (pcr, pctp, pdtp, timings) = measure_primacy(&primacy, &bytes);
-        let (zlcr, _, _) = measure_codec(zlib.as_ref(), &perm_bytes);
-        let (plcr, _, _, _) = measure_primacy(&primacy, &perm_bytes);
+        let ([zcr, pcr, zctp, pctp, zdtp, pdtp], timings) =
+            measure(zlib.as_ref(), &primacy, &bytes, ROUNDS);
+        // The permuted layout feeds only the ratio columns: one round.
+        let ([zlcr, plcr, ..], _) = measure(zlib.as_ref(), &primacy, &perm_bytes, 1);
         report.push_stages(&format!("table3/{}", id.name()), timings.by_stage());
 
         let row = Row {

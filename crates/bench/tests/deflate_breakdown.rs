@@ -17,10 +17,11 @@
 
 use std::time::Instant;
 
-use primacy_bench::{dataset_bytes, solver_streams};
+use primacy_bench::dataset_bytes;
 use primacy_codecs::checksum::adler32;
 use primacy_codecs::deflate::{encode, inflate, lz77, Level};
-use primacy_core::PrimacyConfig;
+use primacy_core::pipeline::precondition;
+use primacy_core::{EncodeScratch, PrimacyConfig};
 use primacy_datagen::{DatasetId, Rng};
 
 /// Timed passes per breakdown; each part reports its median.
@@ -164,11 +165,12 @@ fn primacy_stream_breakdown() {
     ] {
         let data = dataset_bytes(id);
         let (mut his, mut los) = (Vec::new(), Vec::new());
+        let mut scratch = EncodeScratch::new();
         for chunk in data.chunks(cfg.chunk_elements() * cfg.element_size) {
-            let (hi, lo) = solver_streams(chunk, &cfg).expect("structured chunk");
-            his.push(hi);
-            if !lo.is_empty() {
-                los.push(lo);
+            let pre = precondition(&cfg, chunk, false, &mut scratch).expect("structured chunk");
+            his.push(pre.ids);
+            if !pre.compressible.is_empty() {
+                los.push(pre.compressible);
             }
         }
         total += breakdown(&format!("{}/hi", id.name()), &his);

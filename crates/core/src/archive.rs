@@ -25,11 +25,11 @@ use crate::config::PrimacyConfig;
 use crate::error::{PrimacyError, Result};
 use crate::format::{self, Header, Reader};
 use crate::par;
-use crate::pipeline::{self, DecodeScratch, PrimacyCompressor};
+use crate::pipeline::{self, DecodeScratch, EncodeScratch, PrimacyCompressor};
 use crate::reassemble::Output;
 use crate::stats::StageTimings;
 use primacy_codecs::checksum::crc32;
-use primacy_codecs::{read_array, Codec, CodecScratch};
+use primacy_codecs::{read_array, Codec};
 use primacy_trace as trace;
 use std::io::Write;
 use std::sync::Arc;
@@ -62,17 +62,17 @@ struct Section {
 }
 
 /// Compress one chunk into its section. Random access requires a
-/// self-contained index per chunk; that is also what makes the overlapped
-/// writer byte-identical to the sequential one — no state crosses chunk
-/// boundaries in either mode.
+/// self-contained index per chunk, so index reuse is off; that is also what
+/// makes the overlapped writer byte-identical to the sequential one — no
+/// state crosses chunk boundaries in either mode.
 fn compress_section(
     compressor: &PrimacyCompressor,
-    scratch: &mut CodecScratch,
+    scratch: &mut EncodeScratch,
     chunk: &[u8],
 ) -> Result<Section> {
     let _span = trace::span("archive.write_chunk");
     let mut bytes = Vec::with_capacity(chunk.len() / 2 + 64);
-    compressor.compress_chunk(chunk, &mut None, scratch, &mut bytes)?;
+    compressor.compress_chunk(chunk, false, scratch, &mut bytes)?;
     Ok(Section {
         bytes,
         elements: (chunk.len() / compressor.config().element_size) as u64,
@@ -141,7 +141,7 @@ enum Mode<W> {
     /// Compress and write each chunk on the caller's thread. The scratch is
     /// reused across every chunk, so steady-state appends allocate nothing
     /// in the encoder.
-    Sequential(SinkState<W>, Box<CodecScratch>),
+    Sequential(SinkState<W>, Box<EncodeScratch>),
     /// Compress workers feed the sink through the chunk-parallel engine.
     Overlapped(par::Streaming<Vec<u8>, SinkState<W>>),
 }
@@ -183,7 +183,7 @@ impl<W: Write> ArchiveWriter<W> {
     /// Start a bulk-synchronous archive, writing the header immediately.
     pub fn new(sink: W, config: PrimacyConfig) -> Result<Self> {
         Self::start(sink, config, |_, sink| {
-            Mode::Sequential(sink, Box::new(CodecScratch::new()))
+            Mode::Sequential(sink, Box::default())
         })
     }
 
@@ -207,7 +207,7 @@ impl<W: Write> ArchiveWriter<W> {
             Mode::Overlapped(par::Streaming::spawn(
                 threads,
                 sink,
-                CodecScratch::new,
+                EncodeScratch::new,
                 move |scratch, _, chunk: Vec<u8>| compress_section(&comp, scratch, &chunk),
                 SinkState::write_section,
             ))

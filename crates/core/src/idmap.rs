@@ -12,49 +12,72 @@ use crate::freq::FreqTable;
 use crate::split::{hi_key, write_hi_key};
 
 /// A bijection between the byte-sequences present in a chunk and dense IDs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `id_for_seq[seq]` counts only when `seq_for_id` points back at `seq`, so
+/// a slot a previous load left behind reads as absent and a load writes
+/// only the slots of the sequences it maps. Every `u16` is a valid ID, so a
+/// map may hold the whole 65,536-sequence domain.
+#[derive(Debug, Clone)]
 pub struct IdMap {
     /// `seq_for_id[id]` = original byte-sequence.
     seq_for_id: Vec<u16>,
-    /// `id_for_seq[seq]` = ID, or `u16::MAX` when the sequence is absent.
+    /// `id_for_seq[seq]` = ID, valid only if `seq_for_id[id] == seq`.
     id_for_seq: Vec<u16>,
     hi_bytes: usize,
 }
 
-/// Sentinel for "sequence not present in this chunk".
-const ABSENT: u16 = u16::MAX;
+/// Two maps are equal when they map the same sequences to the same IDs;
+/// the slots a lookup ignores do not count.
+impl PartialEq for IdMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.hi_bytes == other.hi_bytes && self.seq_for_id == other.seq_for_id
+    }
+}
+
+impl Eq for IdMap {}
 
 impl IdMap {
     /// Build the map from a chunk's frequency table.
     pub fn from_freq(freq: &FreqTable, hi_bytes: usize) -> Result<Self> {
-        Self::from_ranked(freq.ranked(), hi_bytes)
+        let mut map = Self::placeholder();
+        map.load(hi_bytes, freq.ranked())?;
+        Ok(map)
     }
 
-    /// Build from an explicit sequence ranking (ID i ↦ `ranked[i]`).
-    pub fn from_ranked(ranked: Vec<u16>, hi_bytes: usize) -> Result<Self> {
-        let domain = 1usize << (8 * hi_bytes);
-        if ranked.len() >= ABSENT as usize && hi_bytes == 2 {
-            // 65535 distinct sequences would collide with the sentinel; with
-            // a full 65536-value domain the mapping buys nothing anyway.
-            return Err(PrimacyError::InvalidInput(
-                "chunk uses the full byte-sequence domain; ID mapping degenerate",
-            ));
-        }
-        let mut id_for_seq = vec![ABSENT; domain];
-        for (id, &seq) in ranked.iter().enumerate() {
-            if (seq as usize) >= domain {
-                return Err(PrimacyError::Format("index sequence exceeds domain"));
+    /// Load a ranking (ID i ↦ the i-th sequence) into `self`, reusing its
+    /// tables: the one builder behind [`IdMap::from_freq`],
+    /// [`IdMap::reload`] and the encoder's per-chunk rebuild. It writes one
+    /// slot per sequence, so once the tables are sized a load costs O(k).
+    /// A duplicate or out-of-domain sequence fails and leaves the map
+    /// empty.
+    pub(crate) fn load(
+        &mut self,
+        hi_bytes: usize,
+        ranked: impl IntoIterator<Item = u16>,
+    ) -> Result<()> {
+        self.hi_bytes = hi_bytes;
+        self.id_for_seq.resize(1 << (8 * hi_bytes), 0);
+        self.seq_for_id.clear();
+        self.seq_for_id.extend(ranked);
+        let fault = self.seq_for_id.iter().enumerate().find_map(|(id, &seq)| {
+            let Some(slot) = self.id_for_seq.get_mut(usize::from(seq)) else {
+                return Some("index sequence exceeds domain");
+            };
+            // A slot that points back at an earlier ID of this load is a
+            // duplicate; any other value is stale.
+            let prev = usize::from(*slot);
+            if prev < id && self.seq_for_id.get(prev) == Some(&seq) {
+                return Some("duplicate sequence in index");
             }
-            if id_for_seq[seq as usize] != ABSENT {
-                return Err(PrimacyError::Format("duplicate sequence in index"));
-            }
-            id_for_seq[seq as usize] = id as u16;
+            // A load of k ≤ 65,536 distinct sequences numbers them 0..k.
+            *slot = id as u16;
+            None
+        });
+        if let Some(fault) = fault {
+            self.seq_for_id.clear();
+            return Err(PrimacyError::Format(fault));
         }
-        Ok(Self {
-            seq_for_id: ranked,
-            id_for_seq,
-            hi_bytes,
-        })
+        Ok(())
     }
 
     /// Number of mapped sequences.
@@ -70,10 +93,8 @@ impl IdMap {
     /// ID for a sequence, if present.
     #[inline]
     pub fn id_of(&self, seq: u16) -> Option<u16> {
-        match self.id_for_seq[seq as usize] {
-            ABSENT => None,
-            id => Some(id),
-        }
+        let id = *self.id_for_seq.get(usize::from(seq))?;
+        (self.seq_for_id.get(usize::from(id)) == Some(&seq)).then_some(id)
     }
 
     /// Sequence for an ID, if in range.
@@ -87,12 +108,16 @@ impl IdMap {
     /// stale index under [`crate::IndexPolicy::Reuse`]). The decoder maps
     /// IDs back in the idmap step of [`crate::reassemble`].
     pub fn encode_hi(&self, hi: &mut [u8]) -> Result<()> {
+        const MISSING: PrimacyError = PrimacyError::Format("sequence missing from index");
         if self.hi_bytes == 2 {
+            // A 2-byte map's table spans the whole domain, so a u16 indexes
+            // it without a bounds check.
+            let ids: &[u16; 1 << 16] = self.id_for_seq[..].try_into().map_err(|_| MISSING)?;
             for row in hi.chunks_exact_mut(2) {
-                let seq = u16::from_be_bytes([row[0], row[1]]) as usize;
-                let id = self.id_for_seq[seq];
-                if id == ABSENT {
-                    return Err(PrimacyError::Format("sequence missing from index"));
+                let seq = u16::from_be_bytes([row[0], row[1]]);
+                let id = ids[usize::from(seq)];
+                if self.seq_for_id.get(usize::from(id)) != Some(&seq) {
+                    return Err(MISSING);
                 }
                 row.copy_from_slice(&id.to_be_bytes());
             }
@@ -100,10 +125,7 @@ impl IdMap {
         }
         let n = hi.len() / self.hi_bytes;
         for i in 0..n {
-            let seq = hi_key(hi, i, self.hi_bytes);
-            let id = self
-                .id_of(seq)
-                .ok_or(PrimacyError::Format("sequence missing from index"))?;
+            let id = self.id_of(hi_key(hi, i, self.hi_bytes)).ok_or(MISSING)?;
             write_hi_key(hi, i, self.hi_bytes, id);
         }
         Ok(())
@@ -127,69 +149,26 @@ impl IdMap {
         }
     }
 
-    /// A placeholder map with no sequences, suitable only as a target for
-    /// [`IdMap::reload`]. Consistent (every lookup reports absent) but tiny:
-    /// the full-size `id_for_seq` table is grown on first reload.
+    /// A map with no sequences, every lookup absent, and no domain table
+    /// until the first load sizes it.
     pub(crate) fn placeholder() -> Self {
         Self {
             seq_for_id: Vec::new(),
-            id_for_seq: vec![ABSENT; 1 << 8],
+            id_for_seq: Vec::new(),
             hi_bytes: 1,
         }
     }
 
     /// Load the serialized index of `k` sequences (the bytes
-    /// [`IdMap::serialize`] writes) into `self`, reusing its tables. This is
-    /// the one parser of untrusted index bytes: it rejects a size mismatch
-    /// and a duplicate sequence. Clearing costs
-    /// O(previous k) — the previous `seq_for_id` says exactly which
-    /// `id_for_seq` slots are live — so a warm reload touches no memory
-    /// proportional to the 65 536-entry domain and performs no allocations.
-    ///
-    /// On error `self` is restored to a consistent empty state, never left
-    /// half-loaded.
+    /// [`IdMap::serialize`] writes) into `self` through the one builder,
+    /// reusing its tables. This is the one parser of untrusted index bytes:
+    /// it rejects a size mismatch and a duplicate sequence, and on a
+    /// duplicate leaves the map empty.
     pub fn reload(&mut self, bytes: &[u8], k: usize, hi_bytes: usize) -> Result<()> {
-        if bytes.len() != k * hi_bytes {
+        if k.checked_mul(hi_bytes) != Some(bytes.len()) {
             return Err(PrimacyError::Format("index size mismatch"));
         }
-        let domain = 1usize << (8 * hi_bytes);
-        if k >= ABSENT as usize && hi_bytes == 2 {
-            return Err(PrimacyError::InvalidInput(
-                "chunk uses the full byte-sequence domain; ID mapping degenerate",
-            ));
-        }
-        for &seq in &self.seq_for_id {
-            if let Some(slot) = self.id_for_seq.get_mut(seq as usize) {
-                *slot = ABSENT;
-            }
-        }
-        self.seq_for_id.clear();
-        self.id_for_seq.resize(domain, ABSENT);
-        self.hi_bytes = hi_bytes;
-        for i in 0..k {
-            let seq = match hi_bytes {
-                1 => u16::from(bytes[i]),
-                _ => u16::from_be_bytes([bytes[i * 2], bytes[i * 2 + 1]]),
-            };
-            let dup = {
-                let slot = &mut self.id_for_seq[seq as usize];
-                let dup = *slot != ABSENT;
-                *slot = i as u16;
-                dup
-            };
-            if dup {
-                // Roll back what this call loaded so the invariant
-                // (id_for_seq[s] set ⇔ s ∈ seq_for_id) still holds.
-                self.id_for_seq[seq as usize] = ABSENT;
-                for &s in &self.seq_for_id {
-                    self.id_for_seq[s as usize] = ABSENT;
-                }
-                self.seq_for_id.clear();
-                return Err(PrimacyError::Format("duplicate sequence in index"));
-            }
-            self.seq_for_id.push(seq);
-        }
-        Ok(())
+        self.load(hi_bytes, (0..k).map(|i| hi_key(bytes, i, hi_bytes)))
     }
 
     /// Size of the serialized index in bytes.
@@ -312,18 +291,18 @@ mod tests {
 
     #[test]
     fn empty_map() {
-        let m = IdMap::from_ranked(vec![], 2).unwrap();
+        let m = IdMap::from_freq(&FreqTable::from_hi_matrix(&[], 2), 2).unwrap();
         assert!(m.is_empty());
         let mut empty: Vec<u8> = vec![];
         m.encode_hi(&mut empty).unwrap();
     }
 
     #[test]
-    fn reload_matches_from_ranked_across_widths() {
+    fn reload_matches_a_fresh_load_across_widths() {
         let mut scratch = IdMap::placeholder();
-        // Successive reloads with different k, contents, and widths must land
-        // on exactly the map `from_ranked` builds from the same ranking,
-        // decoded here independently of `reload`.
+        // Successive reloads with different k, contents, and widths into one
+        // warm map must land on exactly the map a fresh load of the same
+        // ranking builds, decoded here independently of `reload`.
         let cases: [(&[u8], usize, usize); 4] = [
             (&[0x3F, 0xF0, 0x40, 0x00, 0xC0, 0x00], 3, 2),
             (&[0x40, 0x00, 0x3F, 0xF0], 2, 2),
@@ -337,8 +316,45 @@ mod tests {
                 .map(|seq| seq.iter().fold(0, |acc, &b| (acc << 8) | u16::from(b)))
                 .collect();
             assert_eq!(ranked.len(), k);
-            assert_eq!(scratch, IdMap::from_ranked(ranked, hi_bytes).unwrap());
+            let mut fresh = IdMap::placeholder();
+            fresh.load(hi_bytes, ranked.iter().copied()).unwrap();
+            assert_eq!(scratch, fresh);
+            for (id, &seq) in ranked.iter().enumerate() {
+                assert_eq!(scratch.id_of(seq), Some(id as u16));
+            }
         }
+        // The last load left the first one's sequences behind as stale slots.
+        assert_eq!(scratch.id_of(0x3FF0), None);
+    }
+
+    #[test]
+    fn reload_accepts_the_full_domain() {
+        // k = 65,536 (every 2-byte sequence) and k = 65,535 both fit: IDs
+        // run 0..k and every one is a u16.
+        for k in [65_536usize, 65_535] {
+            let bytes: Vec<u8> = (0..k as u32)
+                .flat_map(|i| ((i * 40_503) as u16).to_be_bytes())
+                .collect();
+            let mut map = IdMap::placeholder();
+            map.reload(&bytes, k, 2).unwrap();
+            assert_eq!(map.len(), k);
+            let last = k as u32 - 1;
+            assert_eq!(map.seq_of(last as u16), Some((last * 40_503) as u16));
+            assert_eq!(map.id_of(40_503), Some(1));
+            let mut again = Vec::new();
+            map.serialize(&mut again);
+            assert_eq!(again, bytes);
+        }
+        // A full domain still rejects a size mismatch and a duplicate.
+        let mut map = IdMap::placeholder();
+        let mut dup: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_be_bytes).collect();
+        assert!(map.reload(&dup[2..], 65_536, 2).is_err());
+        dup[2..4].copy_from_slice(&[0, 0]);
+        assert_eq!(
+            map.reload(&dup, 65_536, 2),
+            Err(PrimacyError::Format("duplicate sequence in index"))
+        );
+        assert!(map.is_empty());
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use config::{
     PrimacyConfig,
 };
 pub use error::{PrimacyError, Result};
-pub use pipeline::{DecodeScratch, PrimacyCompressor};
+pub use pipeline::{DecodeScratch, EncodeScratch, PrimacyCompressor};
 pub use stats::{CompressionStats, StageTimings, STAGES};
 pub use stream::ElementReader;
 

@@ -2,7 +2,7 @@
 
 use crate::config::{IndexPolicy, Linearization, PrimacyConfig};
 use crate::error::{PrimacyError, Result};
-use crate::format::{self, Header, Reader};
+use crate::format::{self, Header, Reader, FLAG_OWN_INDEX};
 use crate::freq::FreqTable;
 use crate::idmap::IdMap;
 use crate::isobar;
@@ -51,12 +51,6 @@ fn container_crc(plain: &[u8]) -> (u32, Duration) {
 pub struct PrimacyCompressor {
     config: PrimacyConfig,
     codec: Box<dyn Codec>,
-}
-
-/// State threaded between chunks for [`IndexPolicy::Reuse`].
-pub(crate) struct IndexState {
-    pub(crate) freq: FreqTable,
-    pub(crate) map: IdMap,
 }
 
 impl PrimacyCompressor {
@@ -110,24 +104,24 @@ impl PrimacyCompressor {
     /// Compress and report per-stage statistics.
     pub fn compress_bytes_with_stats(&self, input: &[u8]) -> Result<(Vec<u8>, CompressionStats)> {
         let mut out = self.start_stream(input)?;
-        let mut prev_index: Option<IndexState> = None;
-        // One codec scratch for the whole stream: after the first chunk the
-        // encoder's hash-chain and token buffers are reused, so steady-state
-        // chunks allocate nothing in the tokenizer.
-        let mut scratch = CodecScratch::new();
+        // One scratch for the whole stream: after the first chunk the codec's
+        // hash-chain and token buffers are reused, so steady-state chunks
+        // allocate nothing in the tokenizer, and the index a chunk leaves in
+        // it is the one its successor may reuse.
+        let mut scratch = EncodeScratch::new();
         let mut timings = StageTimings::default();
         let mut chunks = 0usize;
         let mut own_index_chunks = 0usize;
         let mut weighted_alpha2 = 0f64;
 
         for chunk in input.chunks(self.chunk_bytes()) {
-            let info = self.compress_chunk(chunk, &mut prev_index, &mut scratch, &mut out)?;
-            timings.add(&info.timings);
+            let pre = self.compress_chunk(chunk, chunks > 0, &mut scratch, &mut out)?;
+            timings.add(&pre.timings);
             chunks += 1;
-            if info.own_index {
+            if pre.own_index {
                 own_index_chunks += 1;
             }
-            weighted_alpha2 += info.alpha2 * chunk.len() as f64;
+            weighted_alpha2 += pre.alpha2 * chunk.len() as f64;
         }
 
         let (crc, dt) = container_crc(input);
@@ -160,10 +154,10 @@ impl PrimacyCompressor {
         par::ordered_map(
             input.chunks(self.chunk_bytes()),
             threads,
-            CodecScratch::new,
+            EncodeScratch::new,
             |scratch, _, chunk| {
                 let mut section = Vec::new();
-                self.compress_chunk(chunk, &mut None, scratch, &mut section)?;
+                self.compress_chunk(chunk, false, scratch, &mut section)?;
                 Ok(section)
             },
             |section| {
@@ -195,96 +189,56 @@ impl PrimacyCompressor {
         Ok(out)
     }
 
-    /// Per-chunk info reported back to the stats aggregator. `scratch` holds
-    /// the backend codec's reusable working memory — the caller owns one per
-    /// thread and threads it through every chunk.
+    /// Compress one chunk into its section on the tail of `out`: the
+    /// encoder ([`precondition`]), the backend codec on its two streams, and
+    /// the section emit. `may_reuse_index` is [`precondition`]'s. Returns the
+    /// chunk as the encoder left it, with the codec time added to its
+    /// timings.
     pub(crate) fn compress_chunk(
         &self,
         chunk: &[u8],
-        prev_index: &mut Option<IndexState>,
-        scratch: &mut CodecScratch,
+        may_reuse_index: bool,
+        scratch: &mut EncodeScratch,
         out: &mut Vec<u8>,
-    ) -> Result<ChunkInfo> {
-        let cfg = &self.config;
-        let n = chunk.len() / cfg.element_size;
-        let lo_cols = cfg.lo_bytes();
-        let mut timings = StageTimings::default();
+    ) -> Result<Preconditioned> {
+        let n = chunk.len() / self.config.element_size;
         let section_start = out.len();
+        let mut pre = precondition(&self.config, chunk, may_reuse_index, scratch)?;
 
-        let t = Instant::now();
-        let (mut hi, lo) = split_hi_lo(chunk, cfg.element_size, cfg.hi_bytes)?;
-        stage(&mut timings.split, STAGE_SPLIT, t);
-
-        // Frequency analysis + index decision (§II-C, §II-F).
-        let t = Instant::now();
-        let freq = FreqTable::from_hi_matrix(&hi, cfg.hi_bytes);
-        let (own_index, state) = match (&cfg.index_policy, prev_index.take()) {
-            (
-                IndexPolicy::Reuse {
-                    correlation_threshold,
-                },
-                Some(prev),
-            ) if prev.freq.correlation(&freq) >= *correlation_threshold && prev.map.covers(&hi) => {
-                (false, prev)
-            }
-            _ => {
-                let map = IdMap::from_freq(&freq, cfg.hi_bytes)?;
-                (true, IndexState { freq, map })
-            }
+        // Backend compression of the ID bytes and the compressible lo
+        // columns (§II-E).
+        let mut deflate = |stream: &[u8]| {
+            let t = Instant::now();
+            let comp = if stream.is_empty() {
+                Ok(Vec::new())
+            } else {
+                self.codec.compress_with(stream, &mut scratch.codec)
+            };
+            stage(&mut pre.timings.codec, STAGE_DEFLATE, t);
+            comp
         };
-        stage(&mut timings.frequency_analysis, STAGE_FREQ, t);
-
-        // ID mapping (§II-C).
-        let t = Instant::now();
-        state.map.encode_hi(&mut hi)?;
-        stage(&mut timings.id_mapping, STAGE_IDMAP, t);
-
-        // Linearization (§II-D).
-        let t = Instant::now();
-        let hi_lin = match cfg.linearization {
-            Linearization::Row => hi,
-            Linearization::Column => to_columns(&hi, n, cfg.hi_bytes),
-        };
-        stage(&mut timings.linearization, STAGE_LINEARIZE, t);
-
-        // Backend compression of the ID bytes (§II-E).
-        let t = Instant::now();
-        let hi_comp = self.codec.compress_with(&hi_lin, scratch)?;
-        stage(&mut timings.codec, STAGE_DEFLATE, t);
-
-        // ISOBAR on the mantissa bytes (§II-G).
-        let t = Instant::now();
-        let report = isobar::analyze(&lo, n, lo_cols, &cfg.isobar);
-        let (compressible, incompressible) = isobar::partition(&lo, n, lo_cols, report.mask);
-        stage(&mut timings.isobar, STAGE_ISOBAR, t);
-
-        let t = Instant::now();
-        let lo_comp = if compressible.is_empty() {
-            Vec::new()
-        } else {
-            self.codec.compress_with(&compressible, scratch)?
-        };
-        stage(&mut timings.codec, STAGE_DEFLATE, t);
+        let hi_comp = deflate(&pre.ids)?;
+        let lo_comp = deflate(&pre.compressible)?;
 
         // Emit the chunk section.
         let t = Instant::now();
         write_varint(out, n as u64);
-        let flags = if own_index { format::FLAG_OWN_INDEX } else { 0 };
+        let flags = if pre.own_index { FLAG_OWN_INDEX } else { 0 };
         out.push(flags);
-        if own_index {
-            write_varint(out, state.map.len() as u64);
-            state.map.serialize(out);
+        if pre.own_index {
+            write_varint(out, scratch.map.len() as u64);
+            scratch.map.serialize(out);
         }
         write_varint(out, hi_comp.len() as u64);
         out.extend_from_slice(&hi_comp);
-        out.extend_from_slice(&report.mask.to_le_bytes());
+        out.extend_from_slice(&pre.mask.to_le_bytes());
         write_varint(out, lo_comp.len() as u64);
         out.extend_from_slice(&lo_comp);
-        out.extend_from_slice(&incompressible);
+        out.extend_from_slice(&pre.raw);
         trace::span_duration("container.emit", t.elapsed());
 
         trace::counter("chunk.compress", 1);
-        if own_index {
+        if pre.own_index {
             trace::counter("chunk.own_index", 1);
         }
         trace::counter("compress.bytes_in", chunk.len() as u64);
@@ -292,13 +246,7 @@ impl PrimacyCompressor {
         trace::counter("compress.bytes_out", section_len);
         trace::observe("chunk.section_bytes", section_len);
 
-        let alpha2 = report.compressible_fraction();
-        *prev_index = Some(state);
-        Ok(ChunkInfo {
-            own_index,
-            alpha2,
-            timings,
-        })
+        Ok(pre)
     }
 
     /// Decompress a PRIMACY stream produced by any configuration (the
@@ -401,10 +349,148 @@ pub(crate) fn f64s_from_le(bytes: &[u8]) -> Vec<f64> {
         .collect()
 }
 
-pub(crate) struct ChunkInfo {
-    pub(crate) own_index: bool,
-    pub(crate) alpha2: f64,
-    pub(crate) timings: StageTimings,
+/// Reusable working memory of the chunk encoder ([`precondition`]), the
+/// mirror of [`DecodeScratch`]: the backend codec's encode state, the index
+/// in effect and the frequencies it was built from. The map is rebuilt in
+/// place, so a warm rebuild touches only the slots of the chunk's own
+/// sequences.
+pub struct EncodeScratch {
+    /// Backend codec encode state (hash chains, token buffers etc.).
+    pub(crate) codec: CodecScratch,
+    /// The index in effect: the one the last chunk was mapped through.
+    pub(crate) map: IdMap,
+    /// The frequencies `map` was built from; `None` before the first chunk.
+    freq: Option<FreqTable>,
+}
+
+impl EncodeScratch {
+    /// An empty scratch; buffers are allocated lazily on first use.
+    pub fn new() -> Self {
+        Self {
+            codec: CodecScratch::new(),
+            map: IdMap::placeholder(),
+            freq: None,
+        }
+    }
+
+    /// The index in effect: the one the last [`precondition`] call mapped
+    /// its chunk through.
+    pub fn map(&self) -> &IdMap {
+        &self.map
+    }
+}
+
+impl Default for EncodeScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// One chunk as the preconditioner hands it to the backend codec: the
+/// sections [`crate::reassemble::Sections`] borrows on decode, plus what the
+/// encoder decided and how long its stages took.
+#[derive(Debug)]
+pub struct Preconditioned {
+    /// The ID stream: `n × hi_bytes` bytes in the configured linearization.
+    pub ids: Vec<u8>,
+    /// The ISOBAR mask: bit `c` set ⇔ lo column `c` is in `compressible`.
+    pub mask: u16,
+    /// The compressible lo columns, `n` bytes each, in ascending column
+    /// order.
+    pub compressible: Vec<u8>,
+    /// The raw lo columns, `n` bytes each, in ascending column order.
+    pub raw: Vec<u8>,
+    /// Whether the chunk was mapped through an index built from its own
+    /// frequencies (and so carries it), rather than the previous chunk's.
+    pub own_index: bool,
+    /// ISOBAR's compressible fraction of the lo columns (the model's α₂).
+    pub alpha2: f64,
+    /// Wall time of the split, freq, idmap, linearize and isobar stages.
+    pub timings: StageTimings,
+}
+
+/// The PRIMACY chunk encoder (Algorithm 1, §II-B–§II-G): split, frequency
+/// analysis, the index decision, ID mapping, linearization and ISOBAR, each
+/// booked under its stage. The one implementation of the sequence; the
+/// stream, the archive, the model's calibration and the bench binaries all
+/// run it.
+///
+/// The chunk reuses the index in `scratch` instead of building its own only
+/// if `may_reuse_index` is set, the policy is [`IndexPolicy::Reuse`], its
+/// frequencies correlate with those the index was built from at or above
+/// the threshold, and the index covers every sequence of the chunk. The
+/// rule mirrors the decoder's: the stream sets `may_reuse_index` for every
+/// chunk after its first; the parallel stream and the archive never do, so
+/// a chunk never borrows the index of whichever chunk its scratch encoded
+/// before. Either way the index in effect is left in `scratch`.
+pub fn precondition(
+    cfg: &PrimacyConfig,
+    chunk: &[u8],
+    may_reuse_index: bool,
+    scratch: &mut EncodeScratch,
+) -> Result<Preconditioned> {
+    cfg.validate()?;
+    let (hb, lo_cols) = (cfg.hi_bytes, cfg.lo_bytes());
+    let n = chunk.len() / cfg.element_size;
+    let mut timings = StageTimings::default();
+
+    let t = Instant::now();
+    let (mut hi, lo) = split_hi_lo(chunk, cfg.element_size, hb)?;
+    stage(&mut timings.split, STAGE_SPLIT, t);
+
+    // Frequency analysis + index decision (§II-C, §II-F).
+    let t = Instant::now();
+    let freq = FreqTable::from_hi_matrix(&hi, hb);
+    let reuse = match (cfg.index_policy, &scratch.freq) {
+        (
+            IndexPolicy::Reuse {
+                correlation_threshold,
+            },
+            Some(prev),
+        ) => {
+            // A scratch last used at another `hi_bytes` counted another
+            // domain; its index cannot fit.
+            may_reuse_index
+                && prev.counts().len() == freq.counts().len()
+                && prev.correlation(&freq) >= correlation_threshold
+                && scratch.map.covers(&hi)
+        }
+        _ => false,
+    };
+    if !reuse {
+        scratch.map.load(hb, freq.ranked())?;
+        scratch.freq = Some(freq);
+    }
+    stage(&mut timings.frequency_analysis, STAGE_FREQ, t);
+
+    // ID mapping (§II-C).
+    let t = Instant::now();
+    scratch.map.encode_hi(&mut hi)?;
+    stage(&mut timings.id_mapping, STAGE_IDMAP, t);
+
+    // Linearization (§II-D).
+    let t = Instant::now();
+    let ids = match cfg.linearization {
+        Linearization::Row => hi,
+        Linearization::Column => to_columns(&hi, n, hb),
+    };
+    stage(&mut timings.linearization, STAGE_LINEARIZE, t);
+
+    // ISOBAR on the mantissa bytes (§II-G).
+    let t = Instant::now();
+    let report = isobar::analyze(&lo, n, lo_cols, &cfg.isobar);
+    let (compressible, raw) = isobar::partition(&lo, n, lo_cols, report.mask);
+    stage(&mut timings.isobar, STAGE_ISOBAR, t);
+
+    Ok(Preconditioned {
+        ids,
+        mask: report.mask,
+        compressible,
+        raw,
+        own_index: !reuse,
+        alpha2: report.compressible_fraction(),
+        timings,
+    })
 }
 
 /// Reusable working memory of the chunk decoder ([`decompress_chunk_into`]).
@@ -471,7 +557,7 @@ pub(crate) fn decompress_chunk_into<'o>(
     if n == 0 {
         return Err(PrimacyError::Format("empty chunk section"));
     }
-    let own_index = reader.byte()? & format::FLAG_OWN_INDEX != 0;
+    let own_index = reader.byte()? & FLAG_OWN_INDEX != 0;
     // Loading the index is ID-decode work: it is booked under `idmap` with
     // the pass's mapping step.
     let mut index_time = Duration::ZERO;

@@ -387,6 +387,8 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{IndexPolicy, IsobarConfig, PrimacyConfig};
+    use crate::pipeline::{precondition, EncodeScratch};
     use primacy_codecs::CodecKind;
     use std::time::Duration;
 
@@ -438,7 +440,8 @@ mod tests {
             seqs.swap(i, j);
         }
         seqs.truncate(k);
-        let map = IdMap::from_ranked(seqs, hb).unwrap();
+        let mut map = IdMap::placeholder();
+        map.load(hb, seqs).unwrap();
         let rows: Vec<u8> = (0..n)
             .flat_map(|_| {
                 // Skewed towards low IDs, as the ranking makes them.
@@ -532,6 +535,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The encoder and the fused pass invert each other on every shape,
+    /// both linearizations, with ISOBAR on and off, and on a second chunk
+    /// mapped through the first chunk's index.
+    #[test]
+    fn the_encoder_and_the_fused_pass_invert_each_other() {
+        let mut seed = 2000u64;
+        let mut mixed_masks = 0;
+        for (es, hb) in shapes() {
+            let all = (1u16 << (es - hb)) - 1;
+            for lin in [Linearization::Row, Linearization::Column] {
+                for enabled in [true, false] {
+                    let cfg = PrimacyConfig {
+                        element_size: es,
+                        hi_bytes: hb,
+                        linearization: lin,
+                        index_policy: IndexPolicy::Reuse {
+                            correlation_threshold: 0.9,
+                        },
+                        // Stride 1 lets random lo columns read incompressible
+                        // at these row counts, so the masks mix.
+                        isobar: IsobarConfig {
+                            enabled,
+                            sample_stride: 1,
+                            ..Default::default()
+                        },
+                        ..Default::default()
+                    };
+                    for n in ROW_COUNTS {
+                        seed += 1;
+                        let mut next = rng(seed);
+                        // Little-endian elements: skewed hi bytes on top, lo
+                        // bytes alternating between random and narrow.
+                        let chunk: Vec<u8> = (0..n * es)
+                            .map(|i| match i % es {
+                                b if b >= es - hb => (next() % 40).min(next() % 40) as u8,
+                                b if b % 2 == 0 => next() as u8,
+                                _ => (next() % 3) as u8,
+                            })
+                            .collect();
+                        // The same elements in reverse order: the same
+                        // frequencies, so the second chunk reuses the index.
+                        let reversed: Vec<u8> = chunk.chunks(es).rev().flatten().copied().collect();
+                        let header = Header::new(&cfg, n as u64);
+                        let mut scratch = EncodeScratch::new();
+                        for (second, input) in [(false, &chunk), (true, &reversed)] {
+                            let what = format!(
+                                "es {es} hb {hb} {lin:?} isobar {enabled} n {n} second {second}"
+                            );
+                            let pre = precondition(&cfg, input, second, &mut scratch).unwrap();
+                            assert_eq!(pre.own_index, !second, "{what}");
+                            if !enabled {
+                                assert_eq!(pre.mask, all, "{what}");
+                            } else if pre.mask != 0 && pre.mask != all {
+                                mixed_masks += 1;
+                            }
+                            let sections = Sections {
+                                ids: &pre.ids,
+                                mask: pre.mask,
+                                compressible: &pre.compressible,
+                                raw: &pre.raw,
+                            };
+                            let mut out = Vec::new();
+                            reassemble_into(
+                                &header,
+                                scratch.map(),
+                                &sections,
+                                Output::Append(&mut out),
+                            )
+                            .unwrap();
+                            assert!(out == *input, "round trip differs: {what}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(mixed_masks > 0, "no case split its lo columns");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 
 use crate::model::ModelInputs;
 use primacy_codecs::Codec;
-use primacy_core::{Linearization, PrimacyCompressor, PrimacyConfig, PrimacyError, Result};
+use primacy_core::{
+    pipeline, EncodeScratch, PrimacyCompressor, PrimacyConfig, PrimacyError, Result,
+};
 use primacy_trace::json::{self, Value};
 use std::time::Instant;
 
@@ -59,12 +61,8 @@ pub fn measure_primacy(config: &PrimacyConfig, bytes: &[u8]) -> Result<MeasuredR
     let alpha1 = config.hi_bytes as f64 / config.element_size as f64;
     let alpha2 = stats.isobar_compressible_fraction;
 
-    // Section ratios: approximate σho from the overall split. The container
-    // interleaves sections per chunk, so recover them by re-running the
-    // codec on representative sections would double-measure; instead derive
-    // them from the aggregate accounting: compressed = σho·α1·N +
-    // σlo·α2·(1−α1)·N + (1−α2)(1−α1)·N + δ. We attribute the ID-side ratio
-    // directly by compressing one chunk's hi section, which is cheap.
+    // Section ratios: σho and σlo of the first chunk, through the
+    // pipeline's own encoder (`section_ratios`).
     let (sigma_ho, sigma_lo) = section_ratios(config, bytes)?;
 
     let prec_secs = stats.timings.preconditioner().as_secs_f64();
@@ -103,36 +101,27 @@ fn rate(bytes: f64, secs: f64) -> f64 {
     }
 }
 
-/// Compress one chunk's high and low sections separately to estimate σho
-/// and σlo.
+/// σho and σlo of the first chunk of `bytes`: the chunk goes through the
+/// pipeline's encoder ([`pipeline::precondition`]) and the configured codec
+/// compresses its two streams separately. σho counts the index with the
+/// compressed ID stream; σlo is 1 when ISOBAR leaves no column compressible.
 fn section_ratios(config: &PrimacyConfig, bytes: &[u8]) -> Result<(f64, f64)> {
-    use primacy_core::{freq::FreqTable, idmap::IdMap, isobar, linearize, split};
     let chunk_len = (config.chunk_elements() * config.element_size).min(bytes.len());
     let chunk = &bytes[..chunk_len - chunk_len % config.element_size];
     if chunk.is_empty() {
         return Ok((1.0, 1.0));
     }
     let codec = config.codec.build();
-    let (mut hi, lo) = split::split_hi_lo(chunk, config.element_size, config.hi_bytes)?;
-    let n = chunk.len() / config.element_size;
-    let freq = FreqTable::from_hi_matrix(&hi, config.hi_bytes);
-    let map = IdMap::from_freq(&freq, config.hi_bytes)?;
-    map.encode_hi(&mut hi)?;
-    let hi_lin = match config.linearization {
-        Linearization::Row => hi,
-        Linearization::Column => linearize::to_columns(&hi, n, config.hi_bytes),
-    };
-    let hi_comp = codec.compress(&hi_lin)?;
-    let sigma_ho = (hi_comp.len() + map.serialized_len()) as f64 / hi_lin.len().max(1) as f64;
-
-    let lo_cols = config.lo_bytes();
-    let report = isobar::analyze(&lo, n, lo_cols, &config.isobar);
-    let (compressible, _raw) = isobar::partition(&lo, n, lo_cols, report.mask);
-    let sigma_lo = if compressible.is_empty() {
+    let mut scratch = EncodeScratch::new();
+    let pre = pipeline::precondition(config, chunk, false, &mut scratch)?;
+    let hi_comp = codec.compress(&pre.ids)?;
+    let sigma_ho =
+        (hi_comp.len() + scratch.map().serialized_len()) as f64 / pre.ids.len().max(1) as f64;
+    let sigma_lo = if pre.compressible.is_empty() {
         1.0
     } else {
-        let lo_comp = codec.compress(&compressible)?;
-        lo_comp.len() as f64 / compressible.len() as f64
+        let lo_comp = codec.compress(&pre.compressible)?;
+        lo_comp.len() as f64 / pre.compressible.len() as f64
     };
     Ok((sigma_ho.min(1.5), sigma_lo.min(1.5)))
 }
@@ -315,6 +304,7 @@ impl MeasuredRates {
 mod tests {
     use super::*;
     use primacy_codecs::CodecKind;
+    use primacy_core::Linearization;
 
     fn sample_bytes(n: usize) -> Vec<u8> {
         let mut x = 3u64;

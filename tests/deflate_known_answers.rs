@@ -7,21 +7,21 @@
 //! CRC-32 of `Zlib` output (past its 2-byte header) on the two streams
 //! PRIMACY hands its solver — the ID-mapped hi stream and ISOBAR's
 //! compressible lo stream — of one default-size chunk each of three
-//! datasets (built by `primacy_bench::solver_streams`), and on raw bytes of
-//! the same datasets. `Fast` and `Default` cover whole streams; `Best`
-//! covers a slice from the middle of each, since its 1024-link chains are
-//! slow under the debug profile.
+//! datasets (built by the pipeline's encoder, `pipeline::precondition`),
+//! and on raw bytes of the same datasets. `Fast` and `Default` cover whole
+//! streams; `Best` covers a slice from the middle of each, since its
+//! 1024-link chains are slow under the debug profile.
 //!
 //! The answers change only when the encoder's tokens or block choices
 //! change. An encoder speedup must keep them; an intentional token change
 //! regenerates them from the failure message, as the golden vectors are
 //! rotated (tests/README.md).
 
-use primacy_bench::solver_streams;
 use primacy_suite::codecs::checksum::crc32;
 use primacy_suite::codecs::deflate::{Level, Zlib};
 use primacy_suite::codecs::Codec;
-use primacy_suite::core::PrimacyConfig;
+use primacy_suite::core::pipeline::precondition;
+use primacy_suite::core::{EncodeScratch, PrimacyConfig};
 use primacy_suite::datagen::DatasetId;
 
 /// Bytes of each stream `Best` compresses, from its middle: the start of a
@@ -70,7 +70,8 @@ fn middle(bytes: &[u8], len: usize) -> &[u8] {
 fn cases(id: DatasetId) -> Vec<(String, usize, u32)> {
     let cfg = PrimacyConfig::default();
     let chunk = id.generate_bytes(cfg.chunk_elements());
-    let (hi, lo) = solver_streams(&chunk, &cfg).unwrap();
+    let pre = precondition(&cfg, &chunk, false, &mut EncodeScratch::new()).unwrap();
+    let (hi, lo) = (pre.ids, pre.compressible);
     let mut out = Vec::new();
     for (stream, bytes) in [("hi", &hi[..]), ("lo", &lo[..]), ("raw", &chunk[..])] {
         for (level, name, input) in [

@@ -9,8 +9,11 @@
 //! including thread counts above the chunk count and inputs whose final
 //! chunk is a ragged tail.
 
-use primacy_suite::core::{ArchiveReader, ArchiveWriter, PrimacyCompressor, PrimacyConfig};
+use primacy_suite::core::{
+    ArchiveReader, ArchiveWriter, ElementReader, IndexPolicy, PrimacyCompressor, PrimacyConfig,
+};
 use primacy_suite::datagen::DatasetId;
+use std::io::Read;
 
 /// Thread counts exercised everywhere: serial-equivalent (1), small (2),
 /// odd and prime (7), and more threads than this container has cores or
@@ -114,5 +117,56 @@ fn parallel_compress_repeated_runs_are_stable() {
             first,
             "repeated parallel runs disagree"
         );
+    }
+}
+
+#[test]
+fn index_reuse_stays_off_where_chunks_must_stand_alone() {
+    // Stationary data: every 128-element chunk holds the same four hi
+    // sequences equally often, so the serial stream reuses its first index.
+    let input: Vec<u8> = (0..4096u64)
+        .flat_map(|i| ((1 + i % 4) as f64 + (i * 7919 % 1000) as f64 * 1e-6).to_le_bytes())
+        .collect();
+    let cfg = PrimacyConfig {
+        chunk_bytes: 1024,
+        index_policy: IndexPolicy::Reuse {
+            correlation_threshold: 0.5,
+        },
+        ..Default::default()
+    };
+    let c = PrimacyCompressor::new(cfg.clone());
+    let (_, serial) = c
+        .compress_bytes_with_stats(&input)
+        .expect("serial compress");
+    assert_eq!(serial.own_index_chunks, 1, "the serial stream must reuse");
+
+    // The parallel stream's workers never reuse an index: every chunk
+    // carries its own, whichever chunk a worker's scratch encoded before.
+    for threads in THREADS {
+        let stream = c
+            .compress_bytes_parallel(&input, threads)
+            .expect("parallel compress");
+        let (plain, stats) = c.decompress_bytes_with_stats(&stream).expect("decode");
+        assert_eq!(plain, input, "threads={threads}");
+        assert_eq!(stats.own_index_chunks, stats.chunks, "threads={threads}");
+    }
+
+    // Neither archive writer reuses one either, so every chunk reads back on
+    // its own, in any order.
+    let mut sequential = ArchiveWriter::new(Vec::new(), cfg.clone()).expect("writer");
+    let mut overlapped = ArchiveWriter::with_overlap(Vec::new(), cfg, 2).expect("writer");
+    sequential.append(&input).expect("append");
+    overlapped.append(&input).expect("append");
+    for archive in [sequential, overlapped].map(|w| w.finish().expect("finish")) {
+        let reader = ArchiveReader::open(&archive).expect("open");
+        assert_eq!(
+            reader.read_all_parallel(2).expect("read_all_parallel"),
+            input
+        );
+        let mut streamed = Vec::new();
+        ElementReader::new(&reader)
+            .read_to_end(&mut streamed)
+            .expect("ElementReader");
+        assert_eq!(streamed, input);
     }
 }

@@ -6,7 +6,8 @@
 
 use primacy_suite::codecs::CodecKind;
 use primacy_suite::core::{
-    IndexPolicy, IsobarConfig, Linearization, PrimacyCompressor, PrimacyConfig,
+    ArchiveReader, ArchiveWriter, IndexPolicy, IsobarConfig, Linearization, PrimacyCompressor,
+    PrimacyConfig,
 };
 use primacy_suite::datagen::{permute, DatasetId};
 
@@ -146,5 +147,40 @@ fn truncated_streams_error_not_panic() {
     let comp = c.compress_bytes(&bytes).expect("compress");
     for keep in (0..comp.len()).step_by(53) {
         assert!(c.decompress_bytes(&comp[..keep]).is_err());
+    }
+}
+
+#[test]
+fn chunks_whose_hi_bytes_take_every_value_roundtrip_on_every_path() {
+    // Two 512 KiB chunks in each of which the 2-byte hi sequences take all
+    // 65,536 values once (k = 65,536, the whole ID domain), under random
+    // mantissas.
+    let mut x = 1u64;
+    let bytes: Vec<u8> = (0..2 * 65_536u64)
+        .flat_map(|i| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let hi = (i as u16).wrapping_mul(40_503);
+            (u64::from(hi) << 48 | x >> 16).to_le_bytes()
+        })
+        .collect();
+    let mut cfg = PrimacyConfig::default();
+    cfg.chunk_bytes = 512 * 1024;
+    let c = PrimacyCompressor::new(cfg.clone());
+    for stream in [
+        c.compress_bytes(&bytes).expect("compress"),
+        c.compress_bytes_parallel(&bytes, 2)
+            .expect("parallel compress"),
+    ] {
+        assert_eq!(c.decompress_bytes(&stream).expect("decompress"), bytes);
+    }
+    let mut sequential = ArchiveWriter::new(Vec::new(), cfg.clone()).expect("writer");
+    let mut overlapped = ArchiveWriter::with_overlap(Vec::new(), cfg, 2).expect("writer");
+    sequential.append(&bytes).expect("append");
+    overlapped.append(&bytes).expect("append");
+    for archive in [sequential, overlapped].map(|w| w.finish().expect("finish")) {
+        let reader = ArchiveReader::open(&archive).expect("open");
+        assert_eq!(reader.read_all_parallel(2).expect("read"), bytes);
     }
 }
