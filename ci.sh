@@ -26,14 +26,23 @@ run() {
 
 lint() {
     run cargo fmt --check
+    # Clippy carries the panic, index and doc rules (DESIGN.md "Static
+    # analysis"): the panic family is declared at each library crate root,
+    # `missing_docs` in core and codecs, `clippy::indexing_slicing` at the
+    # top of each untrusted-input module, and clippy.toml exempts test code.
+    # `-D warnings` makes each of them, an unused `#[expect]`, an `#[expect]`
+    # without a reason and an `#[allow]` fatal.
     run cargo clippy --workspace --all-targets --offline -- -D warnings
-    # Static analysis gate (DESIGN.md "Static analysis"): the whole-workspace
-    # interprocedural pass — call graph, function summaries, cross-function
-    # taint — plus the per-file rules. Non-zero exit on any rule violation
-    # and on any *regression* against the checked-in diagnostics baseline
-    # (a new finding, suppression, or allow directive under any per-file
-    # per-rule key fails, rendered as a per-rule delta table; improvements
-    # pass). Refresh intentionally with:
+    # Static analysis gate: the rules no toolchain lint covers — the
+    # whole-workspace interprocedural taint pass (call graph, function
+    # summaries, cross-function taint), `overflow` in the modules that
+    # declare `clippy::indexing_slicing`, `decode-result`, and the unsafe
+    # and concurrency rules. Non-zero exit on any rule violation and on any
+    # *regression* against the checked-in diagnostics baseline (a new
+    # finding, suppression, `// lint: allow` directive or
+    # `#[allow]`/`#[expect]` attribute under any per-file per-rule key
+    # fails, rendered as a per-rule delta table; improvements pass).
+    # Refresh intentionally with:
     #   primacy-lint . --write-baseline lint-baseline.json
     #
     # Build first so the timed run below measures analysis, not rustc; the

@@ -3,6 +3,16 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the PRIMACY
 //! paper (see DESIGN.md's experiment index) and prints paper-vs-measured
 //! values so EXPERIMENTS.md can be filled in by running them.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod harness;
 

@@ -14,6 +14,7 @@
 //! `magic "BWT1" | varint total_len | blocks… | crc32(total)` where each
 //! block is `varint block_len | varint primary | 4-bit code lengths × 258 |
 //! huffman bitstream (EOB-terminated, byte aligned)`.
+#![warn(clippy::indexing_slicing)]
 
 /// Suffix-array construction for the forward transform.
 pub mod suffix;

@@ -24,6 +24,7 @@
 //! single-symbol exception) and every in-bounds lookup is well-defined;
 //! unreachable slots keep [`K_INVALID`] and surface as corrupt-stream errors,
 //! never as panics.
+#![warn(clippy::indexing_slicing)]
 
 use super::{
     CODELEN_ORDER, DIST_BASE, DIST_EXTRA, END_OF_BLOCK, LENGTH_BASE, LENGTH_EXTRA, NUM_CODELEN,
@@ -509,8 +510,12 @@ fn inflate_block(
                     bits >>= entry_consumed(e);
                     // lint: allow(overflow) -- `used` stays ≤ PEEK_BITS + one entry width
                     used += entry_consumed(e);
-                    // lint: allow(index) -- masked into the fixed [u8; 8] word
-                    word[staged & 7] = entry_payload(e) as u8;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "masked into the fixed [u8; 8] word"
+                    )]
+                    let slot = &mut word[staged & 7];
+                    *slot = entry_payload(e) as u8;
                     staged += 1;
                     lookups_1sym += 1;
                 }
@@ -519,10 +524,18 @@ fn inflate_block(
                     // lint: allow(overflow) -- `used` stays ≤ PEEK_BITS + one entry width
                     used += entry_consumed(e);
                     let pair = entry_payload(e);
-                    // lint: allow(index) -- masked into the fixed [u8; 8] word
-                    word[staged & 7] = pair as u8;
-                    // lint: allow(index) -- masked into the fixed [u8; 8] word
-                    word[(staged + 1) & 7] = (pair >> 8) as u8;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "masked into the fixed [u8; 8] word"
+                    )]
+                    let slot = &mut word[staged & 7];
+                    *slot = pair as u8;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "masked into the fixed [u8; 8] word"
+                    )]
+                    let slot = &mut word[(staged + 1) & 7];
+                    *slot = (pair >> 8) as u8;
                     staged += 2;
                     lookups_2sym += 1;
                 }

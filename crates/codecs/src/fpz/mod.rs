@@ -13,6 +13,7 @@
 //!
 //! Stream layout: `magic "FPZ1" | u8 rank | varint dims… | varint count |
 //! range-coded payload | crc32(raw doubles)`.
+#![warn(clippy::indexing_slicing)]
 
 /// Adaptive binary range coder backing the residual stream.
 pub mod range;

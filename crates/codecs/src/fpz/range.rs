@@ -234,8 +234,12 @@ impl BitTreeModel {
         let mut ctx = 1usize;
         for i in (0..self.n_bits).rev() {
             let bit = (symbol >> i) & 1;
-            // lint: allow(index) -- tree walk invariant: ctx < 2^n_bits == probs.len()
-            enc.encode_bit(&mut self.probs[ctx], bit);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "tree walk invariant: ctx < 2^n_bits == probs.len()"
+            )]
+            let prob = &mut self.probs[ctx];
+            enc.encode_bit(prob, bit);
             ctx = (ctx << 1) | bit as usize;
         }
     }
@@ -245,7 +249,10 @@ impl BitTreeModel {
     pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u32 {
         let mut ctx = 1usize;
         for _ in 0..self.n_bits {
-            // lint: allow(index) -- tree walk invariant: ctx < 2^n_bits == probs.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "tree walk invariant: ctx < 2^n_bits == probs.len()"
+            )]
             let bit = dec.decode_bit(&mut self.probs[ctx]);
             ctx = (ctx << 1) | bit as usize;
         }

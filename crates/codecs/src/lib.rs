@@ -25,6 +25,17 @@
 //! Each codec has one encoder, one decoder and one stream format, reached
 //! through the trait's two required methods; the one-shot calls are defined
 //! once, here, on top of them.
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 /// Bit-granular readers and writers shared by the entropy coders.
 pub mod bitio;

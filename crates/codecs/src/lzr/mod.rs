@@ -10,6 +10,7 @@
 //!
 //! Stream layout:
 //! `magic "LZR1" | varint uncompressed_len | sequences… | crc32(uncompressed)`
+#![warn(clippy::indexing_slicing)]
 
 use crate::checksum::crc32;
 use crate::error::{CodecError, Result};
@@ -55,13 +56,23 @@ fn compress_body(input: &[u8], out: &mut Vec<u8>) {
     let probe_limit = n.saturating_sub(MIN_MATCH + 1);
     while i < probe_limit {
         let h = hash4(input, i);
-        // lint: allow(index) -- hash4 masks h below HASH_SIZE == table.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "hash4 masks h below HASH_SIZE == table.len()"
+        )]
         let cand = table[h];
-        // lint: allow(index) -- hash4 masks h below HASH_SIZE == table.len()
-        table[h] = i as u32;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "hash4 masks h below HASH_SIZE == table.len()"
+        )]
+        let slot = &mut table[h];
+        *slot = i as u32;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "encoder-owned input; c < i < probe_limit leaves 4 readable bytes"
+        )]
         let matched = cand != u32::MAX && {
             let c = cand as usize;
-            // lint: allow(index) -- encoder-owned input; c < i < probe_limit leaves 4 readable bytes
             i - c <= MAX_OFFSET && input[c..c + 4] == input[i..i + 4]
         };
         if !matched {
@@ -79,8 +90,12 @@ fn compress_body(input: &[u8], out: &mut Vec<u8>) {
             .take_while(|(a, b)| a == b)
             .count();
         let len = MIN_MATCH + extra;
-        // lint: allow(index) -- encoder-owned input; literal_start <= i <= n by construction
-        emit_sequence(out, &input[literal_start..i], len - MIN_MATCH, i - c);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "encoder-owned input; literal_start <= i <= n by construction"
+        )]
+        let literals = &input[literal_start..i];
+        emit_sequence(out, literals, len - MIN_MATCH, i - c);
         i = i.saturating_add(len);
         literal_start = i;
     }

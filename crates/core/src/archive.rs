@@ -20,6 +20,7 @@
 //! partial read is integrity-checked without touching the rest of the file.
 //! The layout prefix is the stream's, under [`format::ARCHIVE_MAGIC`], and
 //! the chunk sections go through the stream's decoder with index reuse off.
+#![warn(clippy::indexing_slicing)]
 
 use crate::config::PrimacyConfig;
 use crate::error::{PrimacyError, Result};

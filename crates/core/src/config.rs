@@ -239,8 +239,10 @@ impl PrimacyConfig {
 }
 
 #[cfg(test)]
-// Invalid-config construction is clearest as sequential assignments.
-#[allow(clippy::field_reassign_with_default)]
+#[expect(
+    clippy::field_reassign_with_default,
+    reason = "invalid-config construction is clearest as sequential assignments"
+)]
 mod tests {
     use super::*;
 

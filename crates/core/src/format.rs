@@ -20,6 +20,7 @@
 //!     raw incompressible bytes (n · #unset-mask-columns)
 //! | crc32-le(original bytes)
 //! ```
+#![warn(clippy::indexing_slicing)]
 
 use crate::config::{Linearization, PrimacyConfig};
 use crate::error::{PrimacyError, Result};

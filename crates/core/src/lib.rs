@@ -37,6 +37,17 @@
 //! let restored = compressor.decompress_f64(&compressed).unwrap();
 //! assert_eq!(restored, values);
 //! ```
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 /// Compressibility diagnostics over raw element buffers.
 pub mod analysis;

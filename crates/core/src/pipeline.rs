@@ -56,8 +56,11 @@ pub struct PrimacyCompressor {
 impl PrimacyCompressor {
     /// Build a compressor, panicking on invalid configuration (use
     /// [`PrimacyCompressor::try_new`] to handle errors).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking constructor; try_new is the fallible path"
+    )]
     pub fn new(config: PrimacyConfig) -> Self {
-        // lint: allow(panic) -- documented panicking constructor; try_new is the fallible path
         Self::try_new(config).expect("invalid PRIMACY configuration")
     }
 
@@ -658,8 +661,10 @@ pub(crate) fn decompress_chunk_into<'o>(
 }
 
 #[cfg(test)]
-// Config tweaks read more clearly as sequential assignments in tests.
-#[allow(clippy::field_reassign_with_default)]
+#[expect(
+    clippy::field_reassign_with_default,
+    reason = "config tweaks read more clearly as sequential assignments in tests"
+)]
 mod tests {
     use super::*;
     use primacy_codecs::CodecKind;

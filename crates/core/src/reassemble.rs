@@ -16,6 +16,7 @@
 //!
 //! The per-tile times are summed and returned once per chunk, so a chunk
 //! books one decode record per stage.
+#![warn(clippy::indexing_slicing)]
 
 use crate::config::Linearization;
 use crate::error::{PrimacyError, Result};

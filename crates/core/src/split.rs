@@ -88,7 +88,10 @@ pub fn hi_key(hi: &[u8], i: usize, hi_bytes: usize) -> u16 {
     match hi_bytes {
         1 => u16::from(hi[i]),
         2 => u16::from(hi[i * 2]) << 8 | u16::from(hi[i * 2 + 1]),
-        // lint: allow(panic) -- hi_bytes is validated to 1 or 2 at every config/header boundary
+        #[expect(
+            clippy::unreachable,
+            reason = "hi_bytes is validated to 1 or 2 at every config/header boundary"
+        )]
         _ => unreachable!("validated: hi_bytes is 1 or 2"),
     }
 }
@@ -102,7 +105,10 @@ pub fn write_hi_key(out: &mut [u8], i: usize, hi_bytes: usize, key: u16) {
             out[i * 2] = (key >> 8) as u8;
             out[i * 2 + 1] = key as u8;
         }
-        // lint: allow(panic) -- hi_bytes is validated to 1 or 2 at every config/header boundary
+        #[expect(
+            clippy::unreachable,
+            reason = "hi_bytes is validated to 1 or 2 at every config/header boundary"
+        )]
         _ => unreachable!("validated: hi_bytes is 1 or 2"),
     }
 }

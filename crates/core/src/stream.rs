@@ -6,6 +6,7 @@
 //! hash. [`ElementReader`] exposes a decompressed archive that way while
 //! holding at most one chunk of plaintext in memory, preserving the
 //! low-memory in-situ property of the chunked design (§II-B).
+#![warn(clippy::indexing_slicing)]
 
 use crate::archive::ArchiveReader;
 use crate::error::Result;

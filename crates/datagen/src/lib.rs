@@ -16,6 +16,16 @@
 //! Each generator here is seeded and tuned to land in the published
 //! compressibility band of its namesake (see [`spec::PaperRow`] for the
 //! paper's Table III numbers, kept for comparison in EXPERIMENTS.md).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod generators;
 pub mod permute;
@@ -28,7 +38,6 @@ pub use spec::{DatasetSpec, PaperRow};
 
 /// The 20 datasets of the paper's Table III, in table order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
 pub enum DatasetId {
     GtsChkpZeon,
     GtsChkpZion,

@@ -23,6 +23,16 @@
 //! * [`checkpoint`] — Young/Daly optimal checkpoint intervals and machine
 //!   efficiency, translating the write-throughput gains into saved machine
 //!   time (the introduction's motivation).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod checkpoint;
 pub mod measure;

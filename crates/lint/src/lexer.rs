@@ -40,18 +40,6 @@ pub struct Token {
     pub line: u32,
 }
 
-/// What flavor of `//` comment a [`LineComment`] is. The pub-doc rule
-/// needs to tell documentation apart from plain commentary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommentKind {
-    /// A plain `//` comment (including `////` ruler lines).
-    Plain,
-    /// An outer doc comment, `/// ...`.
-    DocOuter,
-    /// An inner doc comment, `//! ...`.
-    DocInner,
-}
-
 /// A `//` comment (doc comments included), with its text after the slashes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineComment {
@@ -59,8 +47,6 @@ pub struct LineComment {
     pub line: u32,
     /// Comment body with the leading `//`, `///`, or `//!` stripped.
     pub text: String,
-    /// Plain comment vs outer/inner doc comment.
-    pub kind: CommentKind,
 }
 
 /// Full lexer output for one source file.
@@ -227,20 +213,17 @@ pub fn lex(src: &str) -> LexOutput {
             '/' if cur.peek_at(1) == Some('/') => {
                 cur.bump();
                 cur.bump();
-                // Classify and strip the doc-comment marker: `/// text`
-                // and `//! text` both yield ` text`. Four-plus slashes
-                // (`////`) is a plain ruler comment, not documentation.
-                let kind = match (cur.peek(), cur.peek_at(1)) {
-                    (Some('/'), next) if next != Some('/') => {
-                        cur.bump();
-                        CommentKind::DocOuter
-                    }
-                    (Some('!'), _) => {
-                        cur.bump();
-                        CommentKind::DocInner
-                    }
-                    _ => CommentKind::Plain,
+                // Strip the doc-comment marker: `/// text` and `//! text`
+                // both yield ` text`. Four-plus slashes (`////`) is a
+                // plain ruler comment, not documentation.
+                let doc = match (cur.peek(), cur.peek_at(1)) {
+                    (Some('/'), next) => next != Some('/'),
+                    (Some('!'), _) => true,
+                    _ => false,
                 };
+                if doc {
+                    cur.bump();
+                }
                 let mut text = String::new();
                 while let Some(c) = cur.peek() {
                     if c == '\n' {
@@ -249,7 +232,7 @@ pub fn lex(src: &str) -> LexOutput {
                     text.push(c);
                     cur.bump();
                 }
-                out.comments.push(LineComment { line, text, kind });
+                out.comments.push(LineComment { line, text });
             }
             '/' if cur.peek_at(1) == Some('*') => {
                 cur.bump();
@@ -549,12 +532,11 @@ mod tests {
         let out = lex("/// summary line\n//! inner doc\n// plain\n//// ruler\nfn f() {}");
         assert_eq!(out.comments.len(), 4);
         assert_eq!(out.comments[0].text, " summary line");
-        assert_eq!(out.comments[0].kind, CommentKind::DocOuter);
         assert_eq!(out.comments[1].text, " inner doc");
-        assert_eq!(out.comments[1].kind, CommentKind::DocInner);
-        assert_eq!(out.comments[2].kind, CommentKind::Plain);
-        // Four or more slashes is a ruler, not documentation.
-        assert_eq!(out.comments[3].kind, CommentKind::Plain);
+        assert_eq!(out.comments[2].text, " plain");
+        // Four or more slashes is a ruler, not documentation: the third
+        // slash stays in the text.
+        assert_eq!(out.comments[3].text, "// ruler");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! get the interprocedural taint and unsafe/concurrency rules but are
 //! exempt from the panic-discipline rules — aborting on bad CLI input is
 //! acceptable there, and they never run in another process's address
-//! space. The whole workspace is analyzed together so untrusted lengths
+//! space. A module that declares `#![warn(clippy::indexing_slicing)]`,
+//! and every module below it, is untrusted-input code where `overflow`
+//! applies. The whole workspace is analyzed together so untrusted lengths
 //! track through helper functions via the call graph.
 //!
 //! - `--json` prints the full diagnostics document instead of the human
@@ -24,13 +26,14 @@
 //!
 //! Exits 0 when clean (and within baseline), 1 otherwise.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use primacy_lint::report::{compare, render_delta_table, FileEntry, WorkspaceReport};
-use primacy_lint::rules::{FileContext, Rule};
-use primacy_lint::{analyze_workspace, is_untrusted_module, requires_docs, SourceFile};
+use primacy_lint::rules::{declares_untrusted, FileContext, Rule};
+use primacy_lint::{analyze_workspace, SourceFile};
 
 struct Options {
     root: PathBuf,
@@ -106,12 +109,25 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let ctx = FileContext {
-            untrusted: is_untrusted_module(&rel),
-            require_docs: requires_docs(&rel),
-            binary: is_binary_source(&rel),
-        };
-        sources.push(SourceFile { rel, src, ctx });
+        sources.push(SourceFile {
+            rel,
+            src,
+            ctx: FileContext::default(),
+        });
+    }
+    let declared: BTreeMap<&str, bool> = sources
+        .iter()
+        .map(|s| (s.rel.as_str(), declares_untrusted(&s.src)))
+        .collect();
+    let contexts: Vec<FileContext> = sources
+        .iter()
+        .map(|s| FileContext {
+            untrusted: in_untrusted_scope(&s.rel, &declared),
+            binary: is_binary_source(&s.rel),
+        })
+        .collect();
+    for (source, ctx) in sources.iter_mut().zip(contexts) {
+        source.ctx = ctx;
     }
 
     let reports = analyze_workspace(&sources);
@@ -231,6 +247,36 @@ fn is_binary_source(rel: &str) -> bool {
     rel.ends_with("/main.rs") || rel == "main.rs" || rel.split('/').any(|c| c == "bin")
 }
 
+/// Does `rel`, or the module file above it, declare the untrusted scope?
+/// rustc carries a module's inner attribute down to its child modules, so
+/// `bwt/suffix.rs` inherits the declaration at the top of `bwt/mod.rs`.
+/// `declared` maps every scanned file to its own declaration.
+fn in_untrusted_scope(rel: &str, declared: &BTreeMap<&str, bool>) -> bool {
+    if declared.get(rel).copied().unwrap_or(false) {
+        return true;
+    }
+    let Some((dir, file)) = rel.rsplit_once('/') else {
+        return false;
+    };
+    // The directory whose module file declares this one: its own for a
+    // leaf file, the one above for a `mod.rs`. Crate roots have none.
+    let owner = match file {
+        "lib.rs" | "main.rs" => return false,
+        "mod.rs" => match dir.rsplit_once('/') {
+            Some((up, _)) => up,
+            None => return false,
+        },
+        _ => dir,
+    };
+    [
+        format!("{owner}/mod.rs"),
+        format!("{owner}/lib.rs"),
+        format!("{owner}.rs"),
+    ]
+    .iter()
+    .any(|parent| declared.contains_key(parent.as_str()) && in_untrusted_scope(parent, declared))
+}
+
 /// Gather every `.rs` under `crates/*/src` and the root `src/`.
 fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) {
     let crates_dir = root.join("crates");
@@ -269,4 +315,39 @@ fn relative_unix(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn child_modules_inherit_the_untrusted_declaration() {
+        let declared: BTreeMap<&str, bool> = [
+            ("crates/c/src/lib.rs", false),
+            ("crates/c/src/bwt/mod.rs", true),
+            ("crates/c/src/bwt/suffix.rs", false),
+            ("crates/c/src/deflate/mod.rs", false),
+            ("crates/c/src/deflate/decode.rs", true),
+            ("crates/c/src/deflate/encode.rs", false),
+            ("crates/c/src/fpz.rs", true),
+            ("crates/c/src/fpz/range.rs", false),
+            ("crates/c/src/bin/tool.rs", false),
+        ]
+        .into_iter()
+        .collect();
+        assert!(in_untrusted_scope("crates/c/src/bwt/mod.rs", &declared));
+        assert!(in_untrusted_scope("crates/c/src/bwt/suffix.rs", &declared));
+        assert!(in_untrusted_scope(
+            "crates/c/src/deflate/decode.rs",
+            &declared
+        ));
+        assert!(in_untrusted_scope("crates/c/src/fpz/range.rs", &declared));
+        assert!(!in_untrusted_scope(
+            "crates/c/src/deflate/encode.rs",
+            &declared
+        ));
+        assert!(!in_untrusted_scope("crates/c/src/lib.rs", &declared));
+        assert!(!in_untrusted_scope("crates/c/src/bin/tool.rs", &declared));
+    }
 }

@@ -1,12 +1,10 @@
-//! A shallow item-tree/statement parser over the lexed token stream.
+//! Bracket matching and function-body spans over the lexed token stream.
 //!
 //! This is not a Rust grammar: it recovers just enough structure for the
-//! flow-aware rules — which items exist (functions, impl blocks, modules,
-//! consts, ...), their visibility and doc-comment anchor line, and the
-//! token span of every function body so the taint pass can walk
-//! let-bindings and expressions intraprocedurally. Anything it does not
-//! understand it skips token by token, so unknown syntax degrades to
-//! "no structure here" rather than a parse failure.
+//! flow-aware rules — the token span of every function body, so the taint
+//! pass can walk let-bindings and expressions intraprocedurally. Anything
+//! it does not understand it skips token by token, so unknown syntax
+//! degrades to "no structure here" rather than a parse failure.
 
 use crate::lexer::{Tok, Token};
 
@@ -35,339 +33,6 @@ pub(crate) fn matching_close(tokens: &[Token], open_idx: usize, open: char) -> O
     None
 }
 
-/// Item visibility, as far as the rules care.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vis {
-    /// `pub` — part of the crate's public API.
-    Pub,
-    /// `pub(crate)`, `pub(super)`, `pub(in ...)` — restricted.
-    Restricted,
-    /// No visibility qualifier.
-    Private,
-}
-
-/// What kind of item a node is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
-    /// `fn` (free, associated, or trait method).
-    Fn,
-    /// `struct`.
-    Struct,
-    /// `enum`.
-    Enum,
-    /// `trait`.
-    Trait,
-    /// `impl` block (children are its associated items).
-    Impl,
-    /// `mod` (children are its items when the body is inline).
-    Mod,
-    /// `const` item.
-    Const,
-    /// `static` item.
-    Static,
-    /// `type` alias.
-    TypeAlias,
-    /// `use` declaration.
-    Use,
-    /// `macro_rules!` definition.
-    MacroDef,
-}
-
-/// One parsed item.
-#[derive(Debug)]
-pub struct Item {
-    /// The item kind.
-    pub kind: ItemKind,
-    /// Item name where one exists (`impl` blocks have none).
-    pub name: Option<String>,
-    /// Parsed visibility.
-    pub vis: Vis,
-    /// 1-based line of the introducing keyword.
-    pub line: u32,
-    /// 1-based line the item starts on, including its attributes — the
-    /// line a doc comment must sit directly above.
-    pub start_line: u32,
-    /// Inclusive token span of the `{ ... }` body, when there is one.
-    pub body: Option<(usize, usize)>,
-    /// For [`ItemKind::Impl`]: is this a trait impl (`impl T for U`)?
-    pub trait_impl: bool,
-    /// Items nested in a `mod`/`impl`/`trait` body.
-    pub children: Vec<Item>,
-}
-
-/// Parse the item tree of a whole file.
-pub fn parse_items(tokens: &[Token]) -> Vec<Item> {
-    parse_range(tokens, 0, tokens.len())
-}
-
-/// Keywords that may prefix `fn`/items without changing their identity.
-const MODIFIERS: [&str; 4] = ["const", "unsafe", "async", "extern"];
-
-fn parse_range(tokens: &[Token], mut i: usize, end: usize) -> Vec<Item> {
-    let mut items = Vec::new();
-    while i < end {
-        // Attributes: remember where the run starts so the doc-comment
-        // anchor sits above `#[derive(...)]`, not between it and the item.
-        let mut start_line: Option<u32> = None;
-        while is_attr_at(tokens, i) {
-            let open = if tokens[i + 1].tok == Tok::Punct('!') {
-                i + 2
-            } else {
-                i + 1
-            };
-            start_line.get_or_insert(tokens[i].line);
-            match matching_close(tokens, open, '[') {
-                Some(close) => i = close + 1,
-                None => return items,
-            }
-        }
-        if i >= end {
-            break;
-        }
-
-        // Visibility.
-        let mut vis = Vis::Private;
-        if let Tok::Ident(w) = &tokens[i].tok {
-            if w == "pub" {
-                start_line.get_or_insert(tokens[i].line);
-                vis = Vis::Pub;
-                i += 1;
-                if i < end && tokens[i].tok == Tok::Open('(') {
-                    vis = Vis::Restricted;
-                    match matching_close(tokens, i, '(') {
-                        Some(close) => i = close + 1,
-                        None => return items,
-                    }
-                }
-            }
-        }
-
-        // Modifiers before `fn` (`const fn`, `unsafe fn`, `extern "C" fn`).
-        // A lone `const NAME: ...` is an item, so only consume the word as
-        // a modifier when a `fn` (possibly after more modifiers) follows.
-        let mut j = i;
-        while j < end {
-            match &tokens[j].tok {
-                Tok::Ident(w) if MODIFIERS.contains(&w.as_str()) => j += 1,
-                Tok::Str => j += 1, // the ABI string of `extern "C"`
-                _ => break,
-            }
-        }
-        let is_fn = j < end && j > i && matches!(&tokens[j].tok, Tok::Ident(w) if w == "fn");
-        if is_fn {
-            i = j;
-        }
-
-        let Some(t) = tokens.get(i) else { break };
-        let line = t.line;
-        let start_line = start_line.unwrap_or(line);
-        let word = match &t.tok {
-            Tok::Ident(w) => w.as_str(),
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
-        match word {
-            "fn" => {
-                let name = ident_at(tokens, i + 1);
-                let (body, next) = seek_body_or_semi(tokens, i + 1, end);
-                items.push(Item {
-                    kind: ItemKind::Fn,
-                    name,
-                    vis,
-                    line,
-                    start_line,
-                    body,
-                    trait_impl: false,
-                    children: Vec::new(),
-                });
-                i = next;
-            }
-            "struct" => {
-                let name = ident_at(tokens, i + 1);
-                let (body, next) = seek_body_or_semi(tokens, i + 1, end);
-                items.push(Item {
-                    kind: ItemKind::Struct,
-                    name,
-                    vis,
-                    line,
-                    start_line,
-                    body,
-                    trait_impl: false,
-                    children: Vec::new(),
-                });
-                i = next;
-            }
-            "enum" | "union" => {
-                let name = ident_at(tokens, i + 1);
-                let (body, next) = seek_body_or_semi(tokens, i + 1, end);
-                items.push(Item {
-                    kind: ItemKind::Enum,
-                    name,
-                    vis,
-                    line,
-                    start_line,
-                    body,
-                    trait_impl: false,
-                    children: Vec::new(),
-                });
-                i = next;
-            }
-            "trait" => {
-                let name = ident_at(tokens, i + 1);
-                let (body, next) = seek_body_or_semi(tokens, i + 1, end);
-                let children = body
-                    .map(|(o, c)| parse_range(tokens, o + 1, c))
-                    .unwrap_or_default();
-                items.push(Item {
-                    kind: ItemKind::Trait,
-                    name,
-                    vis,
-                    line,
-                    start_line,
-                    body,
-                    trait_impl: false,
-                    children,
-                });
-                i = next;
-            }
-            "impl" => {
-                // `for` between `impl` and `{` marks a trait impl, unless
-                // it is the `for<'a>` of a higher-ranked bound.
-                let (body, next) = seek_body_or_semi(tokens, i + 1, end);
-                let header_end = body.map(|(o, _)| o).unwrap_or(next);
-                let trait_impl = (i + 1..header_end).any(|k| {
-                    matches!(&tokens[k].tok, Tok::Ident(w) if w == "for")
-                        && tokens.get(k + 1).map(|t| &t.tok) != Some(&Tok::Punct('<'))
-                });
-                let children = body
-                    .map(|(o, c)| parse_range(tokens, o + 1, c))
-                    .unwrap_or_default();
-                items.push(Item {
-                    kind: ItemKind::Impl,
-                    name: None,
-                    vis,
-                    line,
-                    start_line,
-                    body,
-                    trait_impl,
-                    children,
-                });
-                i = next;
-            }
-            "mod" => {
-                let name = ident_at(tokens, i + 1);
-                let (body, next) = seek_body_or_semi(tokens, i + 1, end);
-                let children = body
-                    .map(|(o, c)| parse_range(tokens, o + 1, c))
-                    .unwrap_or_default();
-                items.push(Item {
-                    kind: ItemKind::Mod,
-                    name,
-                    vis,
-                    line,
-                    start_line,
-                    body,
-                    trait_impl: false,
-                    children,
-                });
-                i = next;
-            }
-            "const" | "static" => {
-                let kind = if word == "const" {
-                    ItemKind::Const
-                } else {
-                    ItemKind::Static
-                };
-                // Skip `static mut` / `const _`.
-                let mut n = i + 1;
-                if matches!(&tokens.get(n).map(|t| &t.tok), Some(Tok::Ident(w)) if w == "mut") {
-                    n += 1;
-                }
-                let name = ident_at(tokens, n);
-                let next = seek_semi(tokens, i + 1, end);
-                items.push(Item {
-                    kind,
-                    name,
-                    vis,
-                    line,
-                    start_line,
-                    body: None,
-                    trait_impl: false,
-                    children: Vec::new(),
-                });
-                i = next;
-            }
-            "type" => {
-                let name = ident_at(tokens, i + 1);
-                let next = seek_semi(tokens, i + 1, end);
-                items.push(Item {
-                    kind: ItemKind::TypeAlias,
-                    name,
-                    vis,
-                    line,
-                    start_line,
-                    body: None,
-                    trait_impl: false,
-                    children: Vec::new(),
-                });
-                i = next;
-            }
-            "use" => {
-                let next = seek_semi(tokens, i + 1, end);
-                items.push(Item {
-                    kind: ItemKind::Use,
-                    name: None,
-                    vis,
-                    line,
-                    start_line,
-                    body: None,
-                    trait_impl: false,
-                    children: Vec::new(),
-                });
-                i = next;
-            }
-            "macro_rules" => {
-                let name = ident_at(tokens, i + 2); // past the `!`
-                let (body, next) = seek_body_or_semi(tokens, i + 1, end);
-                items.push(Item {
-                    kind: ItemKind::MacroDef,
-                    name,
-                    vis,
-                    line,
-                    start_line,
-                    body,
-                    trait_impl: false,
-                    children: Vec::new(),
-                });
-                i = next;
-            }
-            _ => i += 1,
-        }
-    }
-    items
-}
-
-/// Is `tokens[i]` the `#` of an attribute (`#[...]` or `#![...]`)?
-fn is_attr_at(tokens: &[Token], i: usize) -> bool {
-    if !matches!(tokens.get(i), Some(t) if t.tok == Tok::Punct('#')) {
-        return false;
-    }
-    match tokens.get(i + 1).map(|t| &t.tok) {
-        Some(Tok::Open('[')) => true,
-        Some(Tok::Punct('!')) => matches!(tokens.get(i + 2), Some(t) if t.tok == Tok::Open('[')),
-        _ => false,
-    }
-}
-
-fn ident_at(tokens: &[Token], i: usize) -> Option<String> {
-    match tokens.get(i).map(|t| &t.tok) {
-        Some(Tok::Ident(name)) => Some(name.clone()),
-        _ => None,
-    }
-}
-
 /// From `i`, scan for the item's `{` body or a terminating `;`. Returns
 /// the body span (if any) and the index just past the item.
 fn seek_body_or_semi(tokens: &[Token], i: usize, end: usize) -> (Option<(usize, usize)>, usize) {
@@ -382,24 +47,6 @@ fn seek_body_or_semi(tokens: &[Token], i: usize, end: usize) -> (Option<(usize, 
         }
     }
     (None, end)
-}
-
-/// From `i`, scan for the `;` ending a braceless item, skipping over any
-/// balanced `{ ... }` (a const's block initializer).
-fn seek_semi(tokens: &[Token], i: usize, end: usize) -> usize {
-    let mut j = i;
-    while j < end {
-        match tokens[j].tok {
-            Tok::Open('{') => {
-                j = matching_close(tokens, j, '{')
-                    .unwrap_or(end.saturating_sub(1))
-                    .saturating_add(1);
-            }
-            Tok::Punct(';') => return j + 1,
-            _ => j += 1,
-        }
-    }
-    end
 }
 
 /// Token spans of every `fn` body in the stream, including methods and
@@ -431,86 +78,6 @@ pub fn fn_body_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-
-    fn parse(src: &str) -> Vec<Item> {
-        parse_items(&lex(src).tokens)
-    }
-
-    #[test]
-    fn top_level_items_with_visibility() {
-        let src = "pub fn f() {}\n\
-                   pub(crate) fn g() {}\n\
-                   fn h() {}\n\
-                   pub struct S { a: u8 }\n\
-                   pub enum E { A }\n\
-                   pub const MAX_N: usize = 4;\n\
-                   pub type Alias = u8;\n\
-                   use std::fmt;";
-        let items = parse(src);
-        let kinds: Vec<(ItemKind, Vis)> = items.iter().map(|i| (i.kind, i.vis)).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (ItemKind::Fn, Vis::Pub),
-                (ItemKind::Fn, Vis::Restricted),
-                (ItemKind::Fn, Vis::Private),
-                (ItemKind::Struct, Vis::Pub),
-                (ItemKind::Enum, Vis::Pub),
-                (ItemKind::Const, Vis::Pub),
-                (ItemKind::TypeAlias, Vis::Pub),
-                (ItemKind::Use, Vis::Private),
-            ]
-        );
-        assert_eq!(items[0].name.as_deref(), Some("f"));
-        assert_eq!(items[5].name.as_deref(), Some("MAX_N"));
-    }
-
-    #[test]
-    fn impl_blocks_recurse_and_classify() {
-        let src = "impl Foo {\n pub fn a(&self) {}\n fn b(&self) {}\n}\n\
-                   impl Display for Foo {\n fn fmt(&self) {}\n}";
-        let items = parse(src);
-        assert_eq!(items.len(), 2);
-        assert!(!items[0].trait_impl);
-        assert_eq!(items[0].children.len(), 2);
-        assert_eq!(items[0].children[0].vis, Vis::Pub);
-        assert!(items[1].trait_impl);
-    }
-
-    #[test]
-    fn hrtb_for_is_not_a_trait_impl() {
-        let src = "impl<F: for<'a> Fn(&'a u8)> Holder<F> { fn go(&self) {} }";
-        let items = parse(src);
-        assert!(!items[0].trait_impl);
-    }
-
-    #[test]
-    fn mods_nest_and_attrs_anchor_start_line() {
-        let src = "/// doc\n#[derive(Debug)]\npub struct S;\n\
-                   mod inner {\n    pub fn leaf() {}\n}";
-        let items = parse(src);
-        assert_eq!(items[0].kind, ItemKind::Struct);
-        assert_eq!(items[0].line, 3);
-        assert_eq!(items[0].start_line, 2); // the attribute line
-        assert_eq!(items[1].kind, ItemKind::Mod);
-        assert_eq!(items[1].children[0].name.as_deref(), Some("leaf"));
-    }
-
-    #[test]
-    fn modifier_fns_and_trait_methods() {
-        let src = "pub const fn c() -> u8 { 1 }\n\
-                   pub unsafe fn u() {}\n\
-                   trait T {\n    fn required(&self);\n    fn provided(&self) {}\n}";
-        let items = parse(src);
-        assert_eq!(items[0].kind, ItemKind::Fn);
-        assert_eq!(items[0].name.as_deref(), Some("c"));
-        assert_eq!(items[1].kind, ItemKind::Fn);
-        let t = &items[2];
-        assert_eq!(t.kind, ItemKind::Trait);
-        assert_eq!(t.children.len(), 2);
-        assert!(t.children[0].body.is_none());
-        assert!(t.children[1].body.is_some());
-    }
 
     #[test]
     fn fn_bodies_cover_methods_and_nested_fns() {

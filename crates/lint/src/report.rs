@@ -210,18 +210,18 @@ mod tests {
                         findings: vec![
                             Finding {
                                 line: 3,
-                                rule: Rule::Panic,
-                                message: "`panic!` in non-test library code".to_string(),
+                                rule: Rule::Overflow,
+                                message: "unchecked `+` in untrusted-input module".to_string(),
                             },
                             Finding {
                                 line: 9,
-                                rule: Rule::Panic,
-                                message: "`.unwrap()` in non-test library code".to_string(),
+                                rule: Rule::Overflow,
+                                message: "unchecked `*` in untrusted-input module".to_string(),
                             },
                         ],
-                        suppressed: vec![("index", 2)],
+                        suppressed: vec![("decode-result", 2)],
                         allow_count: 2,
-                        allows_by_rule: vec![("index", 2)],
+                        allows_by_rule: vec![("decode-result".to_string(), 2)],
                     },
                 },
                 FileEntry {
@@ -238,7 +238,7 @@ mod tests {
         assert_eq!(
             b.get("findings")
                 .unwrap()
-                .get("crates/a/src/lib.rs panic")
+                .get("crates/a/src/lib.rs overflow")
                 .unwrap()
                 .as_f64(),
             Some(2.0)
@@ -246,7 +246,7 @@ mod tests {
         assert_eq!(
             b.get("suppressions")
                 .unwrap()
-                .get("crates/a/src/lib.rs index")
+                .get("crates/a/src/lib.rs decode-result")
                 .unwrap()
                 .as_f64(),
             Some(2.0)
@@ -254,7 +254,7 @@ mod tests {
         assert_eq!(
             b.get("directives")
                 .unwrap()
-                .get("crates/a/src/lib.rs index")
+                .get("crates/a/src/lib.rs decode-result")
                 .unwrap()
                 .as_f64(),
             Some(2.0)
@@ -278,7 +278,7 @@ mod tests {
         });
         worse.files[1].report.suppressed = vec![("taint", 1)];
         worse.files[1].report.allow_count = 1;
-        worse.files[1].report.allows_by_rule = vec![("taint", 1)];
+        worse.files[1].report.allows_by_rule = vec![("taint".to_string(), 1)];
         let regressions = compare(&worse.baseline(), &base);
         assert_eq!(regressions.len(), 3, "{regressions:?}");
         assert_eq!(regressions[0].section, "findings");
@@ -295,9 +295,9 @@ mod tests {
         let base = sample().baseline();
         let mut better = sample();
         better.files[0].report.findings.pop();
-        better.files[0].report.suppressed = vec![("index", 1)];
+        better.files[0].report.suppressed = vec![("decode-result", 1)];
         better.files[0].report.allow_count = 1;
-        better.files[0].report.allows_by_rule = vec![("index", 1)];
+        better.files[0].report.allows_by_rule = vec![("decode-result".to_string(), 1)];
         assert!(compare(&better.baseline(), &base).is_empty());
     }
 
@@ -306,7 +306,7 @@ mod tests {
         let doc = sample().to_json();
         let diags = doc.get("diagnostics").unwrap().as_array().unwrap();
         assert_eq!(diags.len(), 2);
-        assert_eq!(diags[0].get("rule").unwrap().as_str(), Some("panic"));
+        assert_eq!(diags[0].get("rule").unwrap().as_str(), Some("overflow"));
         assert_eq!(doc.get("files_scanned").unwrap().as_f64(), Some(2.0));
         // The document round-trips through the in-tree JSON parser.
         let text = doc.to_json();

@@ -2,14 +2,6 @@
 //! violations and reconciles them with `// lint: allow` directives.
 //!
 //! Rules:
-//! - `panic` — no `.unwrap()`, `.expect()`, `panic!`, `unreachable!`,
-//!   `todo!`, or `unimplemented!` in non-test library code. Plain
-//!   `assert!`/`assert_eq!`/`debug_assert!` are deliberately permitted:
-//!   they express invariants, not error handling.
-//! - `index` — no unchecked slice indexing (`buf[i]`, `&buf[a..b]`) in
-//!   designated untrusted-input modules (decode paths fed by external
-//!   bytes). Only enforced when the caller marks the file untrusted; there
-//!   every index is checked (`get`, iterators) or allowed.
 //! - `decode-result` — every `pub fn` whose name is `open` or starts with
 //!   `read_`/`decode`/`decompress`/`inflate` must return a `Result`.
 //! - `taint` — untrusted-length data flow (see [`crate::taint`]): a value
@@ -17,12 +9,10 @@
 //!   source*, a helper whose return the interprocedural fixed point
 //!   ([`crate::summary`]) proved tainted — must pass a sanitizer before
 //!   it reaches arithmetic, an allocation site, or a slice index.
-//! - `overflow` — unchecked `+ * <<` arithmetic anywhere in the
-//!   untrusted-module list (literal operands exempt).
+//! - `overflow` — unchecked `+ * <<` arithmetic in a module that declares
+//!   `#![warn(clippy::indexing_slicing)]` (literal operands exempt).
 //! - `safety-comment` — every `unsafe` keyword needs a `// SAFETY:`
 //!   comment on the same line or directly above.
-//! - `pub-doc` — `pub` items in the designated API crates need doc
-//!   comments.
 //! - `unsafe-boundary` — `#[target_feature]` files need a runtime
 //!   feature-detection guard; arch-gated fns need a same-name
 //!   `#[cfg(not(target_arch ...))]` scalar fallback.
@@ -30,9 +20,13 @@
 //!   `// ORDERING:` justification, `.lock().unwrap()` propagates poison,
 //!   and `&mut` captures in scoped-spawn closures are races.
 //!
-//! Binary sources ([`FileContext::binary`]) relax the panic-family rules
-//! (`panic`, `decode-result`, `index`, `overflow`, `pub-doc`); the
-//! unsafety rules stay on everywhere.
+//! Panics, unchecked indexing and missing docs are rustc and clippy lints,
+//! declared in the crates and modules they govern (DESIGN.md "Static
+//! analysis"); this engine only counts their `#[allow]`/`#[expect]`
+//! suppressions, so the baseline ratchets on them too.
+//!
+//! Binary sources ([`FileContext::binary`]) relax `decode-result` and
+//! `overflow`; the data-flow and unsafety rules stay on everywhere.
 //!
 //! Escape hatches, counted and reported:
 //! - `// lint: allow(<rule>) -- <justification>` on the flagged line or
@@ -43,17 +37,13 @@
 //! unknown rule, or suppressing no finding is itself a `bad-allow`
 //! violation that no directive can suppress.
 
-use crate::lexer::{lex, CommentKind, LineComment, Tok, Token};
-use crate::parser::{self, matching_close, Item, ItemKind, Vis};
+use crate::lexer::{lex, LineComment, Tok, Token};
+use crate::parser::matching_close;
 use crate::taint;
 
 /// Which invariant a finding violates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Panicking construct in non-test library code.
-    Panic,
-    /// Unchecked slice indexing in an untrusted-input module.
-    Index,
     /// Public decode entry point that does not return `Result`.
     DecodeResult,
     /// Malformed `// lint:` directive, or one that suppresses nothing.
@@ -64,8 +54,6 @@ pub enum Rule {
     Overflow,
     /// `unsafe` without a `// SAFETY:` comment.
     SafetyComment,
-    /// Undocumented `pub` item in an API crate.
-    PubDoc,
     /// `target_feature` intrinsics without a runtime detection guard, or
     /// a `cfg(target_arch)`-gated fn without a scalar fallback.
     UnsafeBoundary,
@@ -78,14 +66,11 @@ impl Rule {
     /// The name used inside `allow(...)` directives and reports.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::Panic => "panic",
-            Rule::Index => "index",
             Rule::DecodeResult => "decode-result",
             Rule::BadAllow => "bad-allow",
             Rule::Taint => "taint",
             Rule::Overflow => "overflow",
             Rule::SafetyComment => "safety-comment",
-            Rule::PubDoc => "pub-doc",
             Rule::UnsafeBoundary => "unsafe-boundary",
             Rule::Concurrency => "concurrency-discipline",
         }
@@ -93,13 +78,10 @@ impl Rule {
 
     fn from_name(name: &str) -> Option<Self> {
         match name {
-            "panic" => Some(Rule::Panic),
-            "index" => Some(Rule::Index),
             "decode-result" => Some(Rule::DecodeResult),
             "taint" => Some(Rule::Taint),
             "overflow" => Some(Rule::Overflow),
             "safety-comment" => Some(Rule::SafetyComment),
-            "pub-doc" => Some(Rule::PubDoc),
             "unsafe-boundary" => Some(Rule::UnsafeBoundary),
             "concurrency-discipline" => Some(Rule::Concurrency),
             _ => None,
@@ -107,15 +89,12 @@ impl Rule {
     }
 
     /// Every rule name, for reporting.
-    pub const ALL_NAMES: [&'static str; 10] = [
-        "panic",
-        "index",
+    pub const ALL_NAMES: [&'static str; 7] = [
         "decode-result",
         "bad-allow",
         "taint",
         "overflow",
         "safety-comment",
-        "pub-doc",
         "unsafe-boundary",
         "concurrency-discipline",
     ];
@@ -139,12 +118,13 @@ pub struct FileReport {
     pub findings: Vec<Finding>,
     /// Count of findings suppressed by an allow directive, per rule name.
     pub suppressed: Vec<(&'static str, usize)>,
-    /// Total well-formed allow directives seen in the file.
+    /// Total well-formed allow directives seen in the file: `// lint:`
+    /// comments plus the lint paths of `#[allow]`/`#[expect]` attributes.
     pub allow_count: usize,
-    /// Well-formed allow directives per rule name (sums to `allow_count`);
-    /// the baseline keys directives by `(file, rule)` so counts survive
-    /// refactors that move rules between files.
-    pub allows_by_rule: Vec<(&'static str, usize)>,
+    /// Allow directives per rule name or lint path (sums to
+    /// `allow_count`); the baseline keys directives by `(file, rule)` so
+    /// counts survive refactors that move rules between files.
+    pub allows_by_rule: Vec<(String, usize)>,
 }
 
 #[derive(Debug)]
@@ -157,28 +137,26 @@ struct Allow {
 /// Per-file rule configuration.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FileContext {
-    /// The file decodes untrusted external bytes: enables the `index`
-    /// and `overflow` rules.
+    /// The file decodes untrusted external bytes — its module, or one
+    /// above it, declares `#![warn(clippy::indexing_slicing)]` (see
+    /// [`declares_untrusted`]): enables the `overflow` rule.
     pub untrusted: bool,
-    /// The file belongs to a published-API crate: enables `pub-doc`.
-    pub require_docs: bool,
     /// The file is a binary/CLI entry point: library-hygiene rules
-    /// (`panic`, `index`, `overflow`, `decode-result`, `pub-doc`) are
-    /// off — a CLI may unwrap and index freely — while the data-flow and
-    /// unsafety rules (`taint`, `safety-comment`, `unsafe-boundary`,
+    /// (`overflow`, `decode-result`) are off and its lint attributes go
+    /// uncounted — a CLI may unwrap and index freely — while the data-flow
+    /// and unsafety rules (`taint`, `safety-comment`, `unsafe-boundary`,
     /// `concurrency-discipline`) stay on.
     pub binary: bool,
 }
 
-/// Check one source file. `untrusted` enables the `index` and `overflow`
-/// rules; `pub-doc` stays off. Kept as the minimal entry point for tests
-/// and embedding — the binary uses [`check_file`].
+/// Check one library source file. `untrusted` enables the `overflow`
+/// rule. Kept as the minimal entry point for tests and embedding — the
+/// binary uses [`check_file`].
 pub fn check_source(src: &str, untrusted: bool) -> FileReport {
     check_file(
         src,
         FileContext {
             untrusted,
-            require_docs: false,
             binary: false,
         },
     )
@@ -204,25 +182,117 @@ pub fn check_file_with(
     let test_mask = test_region_mask(tokens);
 
     let mut raw: Vec<Finding> = Vec::new();
+    let mut attrs = Vec::new();
     if !ctx.binary {
-        scan_panics(tokens, &test_mask, &mut raw);
         scan_decode_signatures(tokens, &test_mask, &mut raw);
+        attrs = lint_attributes(tokens, &test_mask);
     }
     if ctx.untrusted && !ctx.binary {
-        scan_indexing(tokens, &test_mask, &mut raw);
         taint::scan_overflow(tokens, &test_mask, &mut raw);
     }
     taint::scan_taint_with(tokens, &test_mask, extra_sources, &mut raw);
     scan_safety_comments(tokens, &lexed.comments, &test_mask, &mut raw);
     scan_unsafe_boundary(tokens, &test_mask, &mut raw);
     scan_concurrency(tokens, &lexed.comments, &test_mask, &mut raw);
-    if ctx.require_docs {
-        scan_pub_docs(tokens, &lexed.comments, &mut raw);
-    }
     raw.append(&mut extra);
 
     let (allows, mut bad) = parse_directives(&lexed.comments);
-    reconcile(raw, &allows, &mut bad)
+    reconcile(raw, &allows, attrs, &mut bad)
+}
+
+/// Does the file open with an inner `#![warn(clippy::indexing_slicing)]`
+/// (or `deny`/`forbid`)? That attribute is the one declaration of an
+/// untrusted-input module: clippy checks its indexing, and the caller sets
+/// [`FileContext::untrusted`] from it for the `overflow` rule.
+pub fn declares_untrusted(src: &str) -> bool {
+    let tokens = lex(src).tokens;
+    let mut i = 0usize;
+    while let Some((inner, body, close)) = attr_at(&tokens, i) {
+        let enables = matches!(body.first().map(|t| &t.tok),
+            Some(Tok::Ident(w)) if matches!(w.as_str(), "warn" | "deny" | "forbid"));
+        if inner
+            && enables
+            && lint_paths(&body[1..])
+                .iter()
+                .any(|p| p == "clippy::indexing_slicing")
+        {
+            return true;
+        }
+        i = close + 1;
+    }
+    false
+}
+
+/// The lint paths named by every `#[allow(..)]`/`#[expect(..)]`, outer or
+/// inner, outside test code: the toolchain's suppressions, counted beside
+/// the `// lint: allow` directives so the baseline ratchets on both.
+fn lint_attributes(tokens: &[Token], test_mask: &[bool]) -> Vec<String> {
+    let mut paths = Vec::new();
+    let mut i = 0usize;
+    while i < tokens.len() {
+        // One item's attribute run: a test gate anywhere in it makes the
+        // item, and the suppressions on it, test code.
+        let mut gated = test_mask.get(i).copied().unwrap_or(false);
+        let mut run = Vec::new();
+        while let Some((_, body, close)) = attr_at(tokens, i) {
+            gated |= attr_is_test_gate(body);
+            if matches!(body.first().map(|t| &t.tok), Some(Tok::Ident(w)) if w == "allow" || w == "expect")
+            {
+                run.extend(lint_paths(&body[1..]));
+            }
+            i = close + 1;
+        }
+        if !gated {
+            paths.append(&mut run);
+        }
+        i += 1;
+    }
+    paths
+}
+
+/// The attribute whose `#` is `tokens[i]`: whether it is inner (`#![..]`),
+/// its body between the brackets, and the index of its `]`.
+fn attr_at(tokens: &[Token], i: usize) -> Option<(bool, &[Token], usize)> {
+    if tokens.get(i)?.tok != Tok::Punct('#') {
+        return None;
+    }
+    let inner = tokens.get(i + 1)?.tok == Tok::Punct('!');
+    let open = i + 1 + usize::from(inner);
+    if tokens.get(open)?.tok != Tok::Open('[') {
+        return None;
+    }
+    let close = matching_close(tokens, open, '[')?;
+    Some((inner, &tokens[open + 1..close], close))
+}
+
+/// The lint paths in an `allow`/`expect` argument list, `(a::b, c)` →
+/// `["a::b", "c"]`; the `reason = "..."` field is not a path.
+fn lint_paths(args: &[Token]) -> Vec<String> {
+    let inner = match args {
+        [open, inner @ .., close] if open.tok == Tok::Open('(') && close.tok == Tok::Close(')') => {
+            inner
+        }
+        _ => return Vec::new(),
+    };
+    inner
+        .split(|t| t.tok == Tok::Punct(','))
+        .filter(|part| {
+            !part.is_empty()
+                && part
+                    .iter()
+                    .all(|t| matches!(&t.tok, Tok::Ident(_) | Tok::Punct(':')))
+        })
+        .map(|part| {
+            let names: Vec<&str> = part
+                .iter()
+                .filter_map(|t| match &t.tok {
+                    Tok::Ident(w) => Some(w.as_str()),
+                    _ => None,
+                })
+                .collect();
+            names.join("::")
+        })
+        .collect()
 }
 
 /// Public wrapper over the test-region mask for workspace-level passes
@@ -330,68 +400,6 @@ fn cfg_mentions_test(body: &[Token]) -> bool {
         }
     }
     false
-}
-
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-
-fn scan_panics(tokens: &[Token], test_mask: &[bool], out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if test_mask.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        let Tok::Ident(name) = &t.tok else { continue };
-        let next = tokens.get(i + 1).map(|t| &t.tok);
-        if PANIC_MACROS.contains(&name.as_str()) && next == Some(&Tok::Punct('!')) {
-            out.push(Finding {
-                line: t.line,
-                rule: Rule::Panic,
-                message: format!("`{name}!` in non-test library code"),
-            });
-            continue;
-        }
-        let prev = i.checked_sub(1).and_then(|p| tokens.get(p)).map(|t| &t.tok);
-        if PANIC_METHODS.contains(&name.as_str())
-            && prev == Some(&Tok::Punct('.'))
-            && next == Some(&Tok::Open('('))
-        {
-            out.push(Finding {
-                line: t.line,
-                rule: Rule::Panic,
-                message: format!("`.{name}()` in non-test library code"),
-            });
-        }
-    }
-}
-
-/// Keywords after which a `[` starts an array literal or pattern, never an
-/// index expression.
-const NON_INDEX_KEYWORDS: [&str; 16] = [
-    "return", "in", "if", "else", "match", "break", "loop", "while", "for", "as", "mut", "ref",
-    "move", "let", "const", "static",
-];
-
-fn scan_indexing(tokens: &[Token], test_mask: &[bool], out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if test_mask.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        if t.tok != Tok::Open('[') {
-            continue;
-        }
-        let indexes = match i.checked_sub(1).and_then(|p| tokens.get(p)).map(|t| &t.tok) {
-            Some(Tok::Ident(name)) => !NON_INDEX_KEYWORDS.contains(&name.as_str()),
-            Some(Tok::Close(')')) | Some(Tok::Close(']')) => true,
-            _ => false,
-        };
-        if indexes {
-            out.push(Finding {
-                line: t.line,
-                rule: Rule::Index,
-                message: "unchecked slice indexing in untrusted-input module".to_string(),
-            });
-        }
-    }
 }
 
 /// Does `name` mark a public decode entry point?
@@ -811,71 +819,6 @@ fn scan_spawn_captures(tokens: &[Token], lo: usize, hi: usize, out: &mut Vec<Fin
     }
 }
 
-/// Item kinds the `pub-doc` rule covers. `use` re-exports and `impl`
-/// blocks themselves are exempt (the items inside an impl are checked).
-fn pub_doc_applies(kind: ItemKind) -> bool {
-    !matches!(kind, ItemKind::Use | ItemKind::Impl)
-}
-
-/// `pub` items in API crates need an outer doc comment directly above the
-/// item (above its attributes when it has any).
-fn scan_pub_docs(tokens: &[Token], comments: &[LineComment], out: &mut Vec<Finding>) {
-    let items = parser::parse_items(tokens);
-    scan_pub_docs_in(&items, comments, out);
-}
-
-fn scan_pub_docs_in(items: &[Item], comments: &[LineComment], out: &mut Vec<Finding>) {
-    for item in items {
-        match item.kind {
-            ItemKind::Impl => {
-                // Trait impls document nothing new: the trait's docs
-                // apply. Inherent-impl methods are API surface.
-                if !item.trait_impl {
-                    scan_pub_docs_in(&item.children, comments, out);
-                }
-                continue;
-            }
-            ItemKind::Mod => {
-                if item.vis == Vis::Pub {
-                    check_item_doc(item, comments, out);
-                    scan_pub_docs_in(&item.children, comments, out);
-                }
-                continue;
-            }
-            _ => {}
-        }
-        if item.vis == Vis::Pub && pub_doc_applies(item.kind) {
-            check_item_doc(item, comments, out);
-        }
-    }
-}
-
-fn check_item_doc(item: &Item, comments: &[LineComment], out: &mut Vec<Finding>) {
-    // Walk upward from the item through its attribute lines and any plain
-    // comments (e.g. `// lint:` directives) until a doc comment or a
-    // non-comment line is hit.
-    let mut ln = item.line.saturating_sub(1);
-    let documented = loop {
-        if ln == 0 {
-            break false;
-        }
-        match comments.iter().find(|c| c.line == ln) {
-            Some(c) if c.kind == CommentKind::DocOuter => break true,
-            Some(_) => ln -= 1,
-            None if ln >= item.start_line => ln -= 1, // an attribute line
-            None => break false,
-        }
-    };
-    if !documented {
-        let name = item.name.as_deref().unwrap_or("<unnamed>");
-        out.push(Finding {
-            line: item.line,
-            rule: Rule::PubDoc,
-            message: format!("public item `{name}` has no doc comment"),
-        });
-    }
-}
-
 /// Parse every `lint:` directive out of the file's line comments.
 fn parse_directives(comments: &[LineComment]) -> (Vec<Allow>, Vec<Finding>) {
     let mut allows = Vec::new();
@@ -924,23 +867,29 @@ fn parse_allow(s: &str) -> Option<(Rule, bool)> {
 }
 
 /// Apply allow directives to raw findings; malformed directives and
-/// directives that cover no finding join the surviving findings.
-fn reconcile(raw: Vec<Finding>, allows: &[Allow], bad: &mut Vec<Finding>) -> FileReport {
-    let mut allows_by_rule: Vec<(&'static str, usize)> = Vec::new();
-    for a in allows {
-        match allows_by_rule
-            .iter_mut()
-            .find(|(name, _)| *name == a.rule.name())
-        {
-            Some((_, n)) => *n += 1,
-            None => allows_by_rule.push((a.rule.name(), 1)),
-        }
-    }
+/// directives that cover no finding join the surviving findings. `attrs`
+/// are the lint paths of the file's `#[allow]`/`#[expect]` attributes:
+/// counted as directives, reconciled by rustc and clippy.
+fn reconcile(
+    raw: Vec<Finding>,
+    allows: &[Allow],
+    attrs: Vec<String>,
+    bad: &mut Vec<Finding>,
+) -> FileReport {
     let mut report = FileReport {
-        allow_count: allows.len(),
-        allows_by_rule,
+        allow_count: allows.len() + attrs.len(),
         ..FileReport::default()
     };
+    for key in allows
+        .iter()
+        .map(|a| a.rule.name().to_string())
+        .chain(attrs)
+    {
+        match report.allows_by_rule.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, n)) => *n += 1,
+            None => report.allows_by_rule.push((key, 1)),
+        }
+    }
     let mut suppressed: Vec<(&'static str, usize)> = Vec::new();
     let mut used = vec![false; allows.len()];
     for f in raw {
@@ -991,37 +940,12 @@ mod tests {
     }
 
     #[test]
-    fn flags_unwrap_expect_and_panic_macros() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n\
-                   let a = x.unwrap();\n\
-                   let b = x.expect(\"msg\");\n\
-                   panic!(\"boom\");\n\
-                   unreachable!();\n\
-                   todo!()\n\
-                   }";
-        let r = check_source(src, false);
-        assert_eq!(lines_of(&r, Rule::Panic), vec![2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn asserts_are_not_flagged() {
-        let src = "fn f(x: usize) {\nassert!(x > 0);\nassert_eq!(x, 1);\ndebug_assert!(x < 9);\n}";
-        assert!(check_source(src, false).findings.is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_family_is_not_flagged() {
-        let src = "fn f(x: Option<u8>) -> u8 {\nx.unwrap_or(0).min(x.unwrap_or_default())\n}";
-        assert!(check_source(src, false).findings.is_empty());
-    }
-
-    #[test]
     fn test_code_is_exempt() {
         let src = "fn lib() -> u8 { 1 }\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
                    #[test]\n\
-                   fn t() { None::<u8>.unwrap(); panic!(); }\n\
+                   fn t() { unsafe { f() }; unsafe { g() }; }\n\
                    }";
         assert!(check_source(src, false).findings.is_empty());
     }
@@ -1029,76 +953,76 @@ mod tests {
     #[test]
     fn test_attr_fn_is_exempt_but_neighbors_are_not() {
         let src = "#[test]\n\
-                   fn t() { None::<u8>.unwrap(); }\n\
-                   fn lib() { None::<u8>.unwrap(); }";
+                   fn t() { unsafe { f() }; }\n\
+                   fn lib() { unsafe { f() }; }";
         let r = check_source(src, false);
-        assert_eq!(lines_of(&r, Rule::Panic), vec![3]);
+        assert_eq!(lines_of(&r, Rule::SafetyComment), vec![3]);
     }
 
     #[test]
     fn cfg_not_test_is_not_a_test_gate() {
-        let src = "#[cfg(not(test))]\nfn lib() { None::<u8>.unwrap(); }";
+        let src = "#[cfg(not(test))]\nfn lib() { unsafe { f() }; }";
         let r = check_source(src, false);
-        assert_eq!(lines_of(&r, Rule::Panic), vec![2]);
+        assert_eq!(lines_of(&r, Rule::SafetyComment), vec![2]);
     }
 
     #[test]
     fn cfg_any_test_is_a_test_gate() {
-        let src = "#[cfg(any(test, feature = \"x\"))]\nfn helper() { None::<u8>.unwrap(); }";
+        let src = "#[cfg(any(test, feature = \"x\"))]\nfn helper() { unsafe { f() }; }";
         assert!(check_source(src, false).findings.is_empty());
     }
 
     #[test]
     fn allow_on_same_line_suppresses_and_is_counted() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n\
-                   x.unwrap() // lint: allow(panic) -- documented invariant\n\
+        let src = "fn f(a: usize, b: usize) -> usize {\n\
+                   a + b // lint: allow(overflow) -- documented invariant\n\
                    }";
-        let r = check_source(src, false);
+        let r = check_source(src, true);
         assert!(r.findings.is_empty());
         assert_eq!(r.allow_count, 1);
-        assert_eq!(r.suppressed, vec![("panic", 1)]);
+        assert_eq!(r.suppressed, vec![("overflow", 1)]);
     }
 
     #[test]
     fn allow_on_line_above_suppresses() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n\
-                   // lint: allow(panic) -- checked two lines up\n\
-                   x.unwrap()\n\
+        let src = "fn f(a: usize, b: usize) -> usize {\n\
+                   // lint: allow(overflow) -- checked two lines up\n\
+                   a + b\n\
                    }";
-        assert!(check_source(src, false).findings.is_empty());
+        assert!(check_source(src, true).findings.is_empty());
     }
 
     #[test]
     fn allow_does_not_leak_to_other_lines_or_rules() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n\
-                   // lint: allow(panic) -- only covers the next line\n\
-                   let a = x.unwrap();\n\
-                   let b = x.unwrap();\n\
-                   a + b\n\
+        let src = "fn f(a: usize, b: usize) -> usize {\n\
+                   // lint: allow(overflow) -- only covers the next line\n\
+                   let x = a + b;\n\
+                   let y = a + b;\n\
+                   x ^ y\n\
                    }";
-        let r = check_source(src, false);
-        assert_eq!(lines_of(&r, Rule::Panic), vec![4]);
+        let r = check_source(src, true);
+        assert_eq!(lines_of(&r, Rule::Overflow), vec![4]);
     }
 
     #[test]
     fn allow_file_covers_whole_file() {
-        let src = "// lint: allow-file(panic) -- generated table module\n\
-                   fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-                   fn g(x: Option<u8>) -> u8 { x.unwrap() }";
-        let r = check_source(src, false);
+        let src = "// lint: allow-file(overflow) -- generated table module\n\
+                   fn f(a: usize, b: usize) -> usize { a + b }\n\
+                   fn g(a: usize, b: usize) -> usize { a * b }";
+        let r = check_source(src, true);
         assert!(r.findings.is_empty());
-        assert_eq!(r.suppressed, vec![("panic", 2)]);
+        assert_eq!(r.suppressed, vec![("overflow", 2)]);
     }
 
     #[test]
     fn allow_without_justification_is_a_violation() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n\
-                   x.unwrap() // lint: allow(panic)\n\
+        let src = "fn f(a: usize, b: usize) -> usize {\n\
+                   a + b // lint: allow(overflow)\n\
                    }";
-        let r = check_source(src, false);
+        let r = check_source(src, true);
         assert_eq!(lines_of(&r, Rule::BadAllow), vec![2]);
-        // The unwrap itself is also still reported.
-        assert_eq!(lines_of(&r, Rule::Panic), vec![2]);
+        // The addition itself is also still reported.
+        assert_eq!(lines_of(&r, Rule::Overflow), vec![2]);
     }
 
     #[test]
@@ -1110,9 +1034,9 @@ mod tests {
 
     #[test]
     fn allow_that_suppresses_nothing_is_a_violation() {
-        let src = "fn f(buf: &[u8]) -> u8 {\n\
-                   // lint: allow(index) -- nothing below indexes\n\
-                   buf.first().copied().unwrap_or(0)\n\
+        let src = "fn f(a: usize) -> usize {\n\
+                   // lint: allow(overflow) -- nothing below adds\n\
+                   a.saturating_add(1)\n\
                    }";
         let r = check_source(src, true);
         assert_eq!(lines_of(&r, Rule::BadAllow), vec![2]);
@@ -1121,58 +1045,59 @@ mod tests {
     }
 
     #[test]
-    fn indexing_flagged_only_in_untrusted_modules() {
-        let src = "fn f(buf: &[u8], i: usize) -> u8 {\nbuf[i]\n}";
-        assert!(check_source(src, false).findings.is_empty());
-        let r = check_source(src, true);
-        assert_eq!(lines_of(&r, Rule::Index), vec![2]);
-    }
-
-    #[test]
-    fn loop_bounded_indexing_is_still_flagged() {
-        let src = "fn f(v: &[u8]) {\nfor i in 0..v.len() {\nlet _ = v[i];\n}\n}";
-        let r = check_source(src, true);
-        assert_eq!(lines_of(&r, Rule::Index), vec![3]);
-    }
-
-    #[test]
-    fn slicing_is_indexing_too() {
-        let src = "fn f(buf: &[u8]) -> &[u8] {\n&buf[1..4]\n}";
-        let r = check_source(src, true);
-        assert_eq!(lines_of(&r, Rule::Index), vec![2]);
-    }
-
-    #[test]
-    fn array_literals_types_and_attributes_are_not_indexing() {
-        let src = "#[derive(Debug)]\n\
-                   struct S { a: [u8; 4] }\n\
-                   fn f() -> [u8; 2] {\n\
-                   let x: Vec<[u8; 8]> = vec![[0u8; 8]];\n\
-                   let y = [0u8, 1u8];\n\
-                   let [p, q] = y;\n\
-                   for _v in [1, 2] {}\n\
-                   if let [a, b] = y { let _ = (a, b); }\n\
-                   let _ = (x, p, q);\n\
-                   y\n\
+    fn lint_attributes_count_as_directives_by_lint_path() {
+        let src = "#[expect(clippy::indexing_slicing, reason = \"masked, a, b\")]\n\
+                   fn f(w: &mut [u8; 8], i: usize) { w[i & 7] = 0; }\n\
+                   #[allow(dead_code, clippy::panic)]\n\
+                   fn g() {}\n\
+                   #[cfg(test)]\n\
+                   #[expect(clippy::field_reassign_with_default, reason = \"tests\")]\n\
+                   mod tests {\n\
+                   #[expect(clippy::unwrap_used, reason = \"test\")]\n\
+                   fn t() {}\n\
                    }";
-        let r = check_source(src, true);
-        assert!(
-            lines_of(&r, Rule::Index).is_empty(),
-            "false positives: {:?}",
-            r.findings
+        let r = check_source(src, false);
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        assert_eq!(r.allow_count, 3);
+        let key = |k: &str| (k.to_string(), 1);
+        assert_eq!(
+            r.allows_by_rule,
+            vec![
+                key("clippy::indexing_slicing"),
+                key("dead_code"),
+                key("clippy::panic")
+            ]
         );
+        let bin = FileContext {
+            untrusted: false,
+            binary: true,
+        };
+        assert_eq!(check_file(src, bin).allow_count, 0);
     }
 
     #[test]
-    fn chained_and_call_result_indexing_flagged() {
-        let src = "fn f(m: &[Vec<u8>]) -> u8 {\nm[0][1] + helper()[2]\n}\nfn helper() -> Vec<u8> { vec![] }";
-        let r = check_source(src, true);
-        assert_eq!(lines_of(&r, Rule::Index), vec![2, 2, 2]);
+    fn untrusted_scope_is_an_inner_indexing_declaration() {
+        assert!(declares_untrusted(
+            "//! Decoder.\n#![warn(clippy::indexing_slicing)]\nfn f() {}"
+        ));
+        assert!(declares_untrusted(
+            "#![deny(clippy::panic, clippy::indexing_slicing)]\n//! Doc.\nfn f() {}"
+        ));
+        // Only an inner attribute at the top of the module declares it.
+        assert!(!declares_untrusted(
+            "#[warn(clippy::indexing_slicing)]\nfn f() {}"
+        ));
+        assert!(!declares_untrusted(
+            "#![warn(clippy::panic)]\nfn f() {}\nmod m { #![warn(clippy::indexing_slicing)] }"
+        ));
+        assert!(!declares_untrusted(
+            "#![allow(clippy::indexing_slicing)]\nfn f() {}"
+        ));
     }
 
     #[test]
-    fn get_based_access_is_clean() {
-        let src = "fn f(buf: &[u8]) -> u8 {\nbuf.get(3).copied().unwrap_or(0)\n}";
+    fn unsafe_in_string_literal_is_not_flagged() {
+        let src = "fn f() -> &'static str { \"never write unsafe { *p } or a + b\" }";
         assert!(check_source(src, true).findings.is_empty());
     }
 
@@ -1214,12 +1139,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_site_in_string_literal_is_not_flagged() {
-        let src = "fn f() -> &'static str { \"do not call .unwrap() or panic!\" }";
-        assert!(check_source(src, false).findings.is_empty());
-    }
-
-    #[test]
     fn unsafe_without_safety_comment_is_flagged() {
         let src = "fn f(p: *const u8) -> u8 {\nunsafe { *p }\n}";
         let r = check_source(src, false);
@@ -1239,58 +1158,14 @@ mod tests {
         assert!(lines_of(&r, Rule::SafetyComment).is_empty());
     }
 
-    fn doc_report(src: &str) -> FileReport {
-        check_file(
-            src,
-            FileContext {
-                untrusted: false,
-                require_docs: true,
-                binary: false,
-            },
-        )
-    }
-
-    #[test]
-    fn undocumented_pub_items_are_flagged() {
-        let src = "pub fn f() {}\n\
-                   /// Documented.\n\
-                   pub fn g() {}\n\
-                   pub(crate) fn h() {}\n\
-                   fn i() {}";
-        let r = doc_report(src);
-        assert_eq!(lines_of(&r, Rule::PubDoc), vec![1]);
-    }
-
-    #[test]
-    fn doc_comment_above_attributes_counts() {
-        let src = "/// Documented struct.\n\
-                   #[derive(Debug)]\n\
-                   pub struct S { pub a: u8 }";
-        assert!(doc_report(src).findings.is_empty());
-    }
-
-    #[test]
-    fn inherent_impl_methods_need_docs_but_trait_impls_do_not() {
-        let src = "/// A type.\npub struct S;\n\
-                   impl S {\n    pub fn m(&self) {}\n}\n\
-                   impl Default for S {\n    fn default() -> Self { S }\n}";
-        let r = doc_report(src);
-        assert_eq!(lines_of(&r, Rule::PubDoc), vec![4]);
-    }
-
-    #[test]
-    fn private_mod_contents_are_not_public_api() {
-        let src = "mod detail {\n    pub fn helper() {}\n}";
-        assert!(doc_report(src).findings.is_empty());
-    }
-
     #[test]
     fn new_rules_are_suppressible() {
-        let src = "pub fn f() {} // lint: allow(pub-doc) -- internal shim\n\
+        let src = "pub fn decode_raw(b: &[u8]) -> usize { b.len() } \
+                   // lint: allow(decode-result) -- infallible shim\n\
                    fn g(p: *const u8) -> u8 {\n\
                    // lint: allow(safety-comment) -- justified elsewhere\n\
                    unsafe { *p }\n}";
-        let r = doc_report(src);
+        let r = check_source(src, false);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.allow_count, 2);
     }

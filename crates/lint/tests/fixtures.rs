@@ -36,25 +36,16 @@ fn diagnostics(name: &str, ctx: FileContext) -> Vec<(u32, &'static str)> {
 
 const TRUSTED: FileContext = FileContext {
     untrusted: false,
-    require_docs: false,
     binary: false,
 };
 const UNTRUSTED: FileContext = FileContext {
     untrusted: true,
-    require_docs: false,
     binary: false,
 };
-const API: FileContext = FileContext {
-    untrusted: false,
-    require_docs: true,
-    binary: false,
-};
-// Binary context: the panic-family rules are off, so the concurrency
-// fixtures pin concurrency-discipline diagnostics alone (the real
-// `.lock().unwrap()` site would otherwise also fire `panic`).
+// Binary context: the library-hygiene rules are off, so the concurrency
+// fixtures pin concurrency-discipline diagnostics alone.
 const BIN: FileContext = FileContext {
     untrusted: false,
-    require_docs: false,
     binary: true,
 };
 
@@ -95,19 +86,6 @@ fn safety_fixture_fires_without_comment() {
 #[test]
 fn safety_fixture_clean_with_comment() {
     assert_eq!(diagnostics("safety_clean.rs", TRUSTED), vec![]);
-}
-
-#[test]
-fn pubdoc_fixture_fires_on_undocumented_items() {
-    assert_eq!(
-        diagnostics("pubdoc_fire.rs", API),
-        vec![(4, "pub-doc"), (8, "pub-doc")]
-    );
-}
-
-#[test]
-fn pubdoc_fixture_clean_when_documented() {
-    assert_eq!(diagnostics("pubdoc_clean.rs", API), vec![]);
 }
 
 #[test]
@@ -229,7 +207,6 @@ fn firing_fixtures_are_suppressible() {
         ("taint_fire.rs", TRUSTED, "taint"),
         ("overflow_fire.rs", UNTRUSTED, "overflow"),
         ("safety_fire.rs", TRUSTED, "safety-comment"),
-        ("pubdoc_fire.rs", API, "pub-doc"),
         ("unsafe_fire.rs", TRUSTED, "unsafe-boundary"),
         ("concurrency_fire.rs", BIN, "concurrency-discipline"),
     ] {

@@ -3,7 +3,7 @@
 //! is an edge that once (or plausibly could have) produced phantom findings:
 //! rule keywords hidden in literals, fences, shebangs, and shift operators.
 
-use primacy_lint::lexer::{lex, CommentKind, Tok};
+use primacy_lint::lexer::{lex, Tok};
 
 fn idents(src: &str) -> Vec<String> {
     lex(src)
@@ -61,7 +61,7 @@ fn shebang_skipped_but_inner_attribute_kept() {
         "the shebang line contributes no tokens"
     );
     assert_eq!(out.comments.len(), 1);
-    assert_eq!(out.comments[0].kind, CommentKind::DocInner);
+    assert_eq!(out.comments[0].text, " doc");
 
     // `#![...]` on line one is an attribute, not a shebang.
     let attr = lex("#![no_std]\nfn main() {}");
@@ -108,19 +108,18 @@ fn numeric_edges_do_not_swallow_operators() {
 }
 
 #[test]
-fn comment_kinds_and_directive_text_round_trip() {
-    let src = "/// outer\n//! inner\n// lint: allow(panic) -- reason\n//// ruler\n/* /* nested */ block */ fn f() {}";
+fn comment_markers_and_directive_text_round_trip() {
+    let src = "/// outer\n//! inner\n// lint: allow(overflow) -- reason\n//// ruler\n/* /* nested */ block */ fn f() {}";
     let out = lex(src);
     assert_eq!(
         out.comments.len(),
         4,
         "block comments are not line comments"
     );
-    assert_eq!(out.comments[0].kind, CommentKind::DocOuter);
-    assert_eq!(out.comments[1].kind, CommentKind::DocInner);
-    assert_eq!(out.comments[2].kind, CommentKind::Plain);
-    assert!(out.comments[2].text.contains("lint: allow(panic)"));
-    assert_eq!(out.comments[3].kind, CommentKind::Plain);
+    assert_eq!(out.comments[0].text, " outer");
+    assert_eq!(out.comments[1].text, " inner");
+    assert!(out.comments[2].text.contains("lint: allow(overflow)"));
+    assert_eq!(out.comments[3].text, "// ruler");
     assert!(idents(src).contains(&"f".to_string()));
 }
 

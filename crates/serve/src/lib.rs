@@ -33,6 +33,16 @@
 //! assert_eq!(expect_ok(resp).unwrap(), data);
 //! server.shutdown();
 //! ```
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod client;
 pub mod metrics;

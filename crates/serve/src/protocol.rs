@@ -24,11 +24,13 @@
 //! runs to the end of the body, so a forged inner length cannot disagree
 //! with the framing.
 //!
-//! This module is a designated untrusted-input surface (`primacy-lint`
-//! `UNTRUSTED_MODULES`): every byte here may come from a hostile socket, so
-//! decoding uses checked reads only and every length is capped before it
-//! sizes an allocation. The wire layout is pinned byte-exactly by the golden
-//! vectors in `tests/golden/serve_*.hex` (`tests/golden_format.rs`).
+//! This module is a designated untrusted-input surface (it declares
+//! `clippy::indexing_slicing` below): every byte here may come from a
+//! hostile socket, so decoding uses checked reads only and every length is
+//! capped before it sizes an allocation. The wire layout is pinned
+//! byte-exactly by the golden vectors in `tests/golden/serve_*.hex`
+//! (`tests/golden_format.rs`).
+#![warn(clippy::indexing_slicing)]
 
 use std::io::Read;
 

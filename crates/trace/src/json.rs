@@ -235,6 +235,10 @@ impl Report {
 
     /// Emit the report if `PRIMACY_BENCH_JSON` requests it. Call last in
     /// `main`; panics on an unwritable path so CI fails loudly.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: CI must fail loudly on an unwritable report path"
+    )]
     pub fn finish(self) {
         let Ok(dest) = std::env::var("PRIMACY_BENCH_JSON") else {
             return;
@@ -244,7 +248,6 @@ impl Report {
             println!("{text}");
         } else {
             std::fs::write(&dest, text)
-                // lint: allow(panic) -- documented contract: CI must fail loudly on an unwritable report path
                 .unwrap_or_else(|e| panic!("writing bench JSON to {dest}: {e}"));
         }
     }

@@ -47,6 +47,16 @@
 //! sits at the bottom of the dependency graph, so the model's calibration
 //! loader, the CLI, the server's load generator and `primacy-lint` can all
 //! read and write reports without depending on the bench crate.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 mod agg;
 mod collect;

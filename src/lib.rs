@@ -11,6 +11,16 @@
 //! * [`hpcsim`] — the paper's analytical I/O performance model and the
 //!   staging-cluster simulator.
 //! * [`serve`] — the multi-tenant TCP compression service and its client.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub use primacy_codecs as codecs;
 pub use primacy_core as core;

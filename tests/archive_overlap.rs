@@ -6,10 +6,14 @@
 //!    shape, so golden vectors never rotate.
 //! 2. **Typed failure, never deadlock** — a sink that fails or panics inside
 //!    the writer thread must surface as a `PrimacyError` from `finish()`,
-//!    with every worker unblocked via channel disconnection.
+//!    with every worker unblocked via channel disconnection. A sink that
+//!    fails at any one write — the layout prefix, a section, the directory
+//!    or the footer — surfaces as a typed error in either writer mode.
 
 use primacy_core::{ArchiveReader, ArchiveWriter, PrimacyConfig, PrimacyError};
 use std::io::Write;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// Small chunks so even modest inputs span many sections.
 fn config() -> PrimacyConfig {
@@ -130,11 +134,23 @@ fn writer_thread_panic_surfaces_as_typed_error_not_deadlock() {
 }
 
 /// A sink whose write *fails* (io::Error, no panic) after `fail_after`
-/// writes — the non-panic half of the failure contract.
+/// writes — the non-panic half of the failure contract. It keeps the bytes
+/// of the writes that succeeded.
 #[derive(Debug)]
 struct FailingSink {
     writes: usize,
     fail_after: usize,
+    bytes: Vec<u8>,
+}
+
+impl FailingSink {
+    fn new(fail_after: usize) -> Self {
+        Self {
+            writes: 0,
+            fail_after,
+            bytes: Vec::new(),
+        }
+    }
 }
 
 impl Write for FailingSink {
@@ -143,6 +159,7 @@ impl Write for FailingSink {
         if self.writes > self.fail_after {
             return Err(std::io::Error::other("injected sink failure"));
         }
+        self.bytes.extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -151,40 +168,92 @@ impl Write for FailingSink {
     }
 }
 
-#[test]
-fn sink_write_error_surfaces_from_finish_in_both_modes() {
-    let bytes = doubles(4096);
-    // Overlapped: the writer thread keeps draining after the error, so
-    // every compress worker unblocks and finish reports the root cause.
-    let sink = FailingSink {
-        writes: 0,
-        fail_after: 1,
-    };
-    let mut w = ArchiveWriter::with_overlap(sink, config(), 2).expect("open writer");
+/// Write `bytes` through `sink` in one writer mode (`None` = sequential)
+/// and return the sink, or the first error from opening, `append` or
+/// `finish`. After an `append` error, `finish` must fail too.
+fn write_through(
+    sink: FailingSink,
+    threads: Option<usize>,
+    bytes: &[u8],
+) -> Result<FailingSink, PrimacyError> {
+    let mut w = match threads {
+        Some(t) => ArchiveWriter::with_overlap(sink, config(), t),
+        None => ArchiveWriter::new(sink, config()),
+    }?;
+    let mut first = None;
     for piece in bytes.chunks(1000) {
-        if w.append(piece).is_err() {
+        if let Err(e) = w.append(piece) {
+            first = Some(e);
             break;
         }
     }
-    match w.finish() {
-        Err(PrimacyError::Format(msg)) => {
+    let finished = w.finish();
+    match first {
+        Some(e) => {
             assert!(
-                msg.contains("sink write failed") || msg.contains("workers exited"),
-                "unexpected message: {msg}"
+                finished.is_err(),
+                "finish succeeded after append failed: {e:?}"
             );
+            Err(e)
         }
-        other => panic!("expected a typed sink error, got {other:?}"),
+        None => finished,
     }
+}
 
-    // Sequential: the same sink fails synchronously inside append/finish.
-    let sink = FailingSink {
-        writes: 0,
-        fail_after: 1,
-    };
-    let mut w = ArchiveWriter::new(sink, config()).expect("open writer");
-    let result = w.append(&bytes).and_then(|()| w.finish().map(|_| ()));
-    assert!(
-        matches!(result, Err(PrimacyError::Format(_))),
-        "sequential sink failure must be typed: {result:?}"
-    );
+/// Run `f` on its own thread: a deadlock fails after 30 s, and a panic
+/// fails instead of unwinding into the caller.
+fn within_timeout<T: Send + 'static>(what: String, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(value) => {
+            worker.join().expect("worker exits after sending");
+            value
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: no result within 30 s"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what}: panicked"),
+    }
+}
+
+#[test]
+fn sink_write_error_at_every_write_is_typed_in_both_modes() {
+    let bytes = doubles(4096); // 8 chunks
+    let clean = write_archive(&bytes, None);
+    for threads in [None, Some(2)] {
+        // Write 1 is the layout prefix, then one write per section, then
+        // the directory and the footer.
+        let data = bytes.clone();
+        let writes = within_timeout(format!("{threads:?} clean run"), move || {
+            write_through(FailingSink::new(usize::MAX), threads, &data).map(|s| s.writes)
+        })
+        .expect("a sink that never fails writes the archive");
+        assert_eq!(writes, 1 + 8 + 2, "{threads:?}: write count");
+        // Fail at write k + 1 for every k, and a few past the last write.
+        for k in 0..writes + 3 {
+            let data = bytes.clone();
+            let what = format!("{threads:?}, sink failing after {k} writes");
+            let result = within_timeout(what.clone(), move || {
+                write_through(FailingSink::new(k), threads, &data)
+            });
+            match result {
+                Ok(sink) => {
+                    assert!(k >= writes, "{what}: no error");
+                    assert!(
+                        sink.bytes == clean,
+                        "{what}: archive differs from the clean one"
+                    );
+                }
+                Err(PrimacyError::Format(msg)) => {
+                    assert!(k < writes, "{what}: failed past the last write: {msg}");
+                    assert!(
+                        msg.contains("sink write failed") || msg.contains("workers exited"),
+                        "{what}: unexpected message: {msg}"
+                    );
+                }
+                Err(other) => panic!("{what}: expected a typed sink error, got {other:?}"),
+            }
+        }
+    }
 }
